@@ -5,8 +5,8 @@ Subcommands: ``transform`` (coefficient-level symbol/kernel conversions),
 with JSON reports) and ``classify`` (space-hierarchy diagnostics).
 
 Exit codes: 0 success, 1 verification failure, 2 I/O or schema error,
-3 dimension mismatch, 4 precondition failure.  Errors are emitted as a
-machine-readable JSON object on stderr.
+3 dimension mismatch, 4 precondition failure or arithmetic overflow.
+Errors are emitted as a machine-readable JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -181,6 +181,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _emit_error(EXIT_DIMENSION, "dimension", str(exc))
     except (PreconditionError, DomainError, ValueError) as exc:
         return _emit_error(EXIT_PRECONDITION, "precondition", str(exc))
+    except ArithmeticError as exc:
+        # e.g. a binomial weight beyond float range at a very high out-degree
+        return _emit_error(EXIT_PRECONDITION, "arithmetic", str(exc))
 
 
 if __name__ == "__main__":

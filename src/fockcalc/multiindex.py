@@ -94,7 +94,3 @@ def log_multi_factorial(alpha: Sequence[int]) -> float:
 
 def index_add(alpha: MultiIndex, gamma: MultiIndex) -> MultiIndex:
     return tuple(a + g for a, g in zip(alpha, gamma))
-
-
-def index_sub(alpha: MultiIndex, gamma: MultiIndex) -> MultiIndex:
-    return tuple(a - g for a, g in zip(alpha, gamma))

@@ -10,7 +10,7 @@ treated as immutable after construction.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Iterable, Tuple
+from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
@@ -133,9 +133,9 @@ def kernel_delta(d: int, alpha: Iterable[int], beta: Iterable[int], value: compl
 # point evaluation
 # ---------------------------------------------------------------------------
 
-def _as_points(z, d: int) -> tuple[np.ndarray, bool]:
+def _as_points(z, d: int, dtype=complex) -> tuple[np.ndarray, bool]:
     """Normalize z to shape (n, d); returns (points, was_single_point)."""
-    arr = np.asarray(z, dtype=complex)
+    arr = np.asarray(z, dtype=dtype)
     if arr.ndim == 0:
         if d != 1:
             raise DimensionMismatch(f"scalar point given for dimension {d}")
@@ -283,20 +283,7 @@ def hermite_eval(alpha: MultiIndex, x) -> float | np.ndarray:
     h_{k+1} = sqrt(2/(k+1)) t h_k - sqrt(k/(k+1)) h_{k-1}.
     """
     alpha = tuple(alpha)
-    d = len(alpha)
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 0:
-        if d != 1:
-            raise DimensionMismatch(f"scalar point given for dimension {d}")
-        pts, single = arr.reshape(1, 1), True
-    elif arr.shape[-1] == d:
-        single = arr.ndim == 1
-        pts = arr.reshape(-1, d)
-    elif d == 1:
-        pts, single = arr.reshape(-1, 1), False
-    else:
-        raise DimensionMismatch(f"point array of shape {arr.shape} does not match dimension {d}")
-
+    pts, single = _as_points(x, len(alpha), dtype=float)
     vals = np.ones(pts.shape[0], dtype=float)
     for j, k in enumerate(alpha):
         t = pts[:, j]
@@ -307,19 +294,3 @@ def hermite_eval(alpha: MultiIndex, x) -> float | np.ndarray:
             h_prev, h = h, h_next
         vals = vals * h
     return float(vals[0]) if single else vals
-
-
-def hermite_series_evaluator(coeffs: Dict[MultiIndex, complex], d: int) -> Callable:
-    """Evaluator for a finite Hermite expansion sum c(alpha) h_alpha."""
-    items = [(validate_index(a), complex(v)) for a, v in coeffs.items()]
-    if not items:
-        items = [((0,) * d, 0.0)]
-
-    def f(x):
-        acc = None
-        for alpha, v in items:
-            term = v * hermite_eval(alpha, x)
-            acc = term if acc is None else acc + term
-        return acc
-
-    return f

@@ -15,9 +15,9 @@ from typing import Dict, List
 
 import numpy as np
 
-from .binomial import t0, t0_star
+from .binomial import l2_r_norm, t0, t0_star
 from .errors import DimensionMismatch, PreconditionError
-from .multiindex import MultiIndex, enumerate_degree, total_degree
+from .multiindex import MultiIndex, enumerate_degree
 from .series import KernelCoeffs, KernelKey, SeriesCoeffs
 
 
@@ -40,39 +40,29 @@ class OperatorMatrix:
         }
 
 
-def _require_square(c: KernelCoeffs) -> int:
-    if c.d2 != c.d1:
-        raise DimensionMismatch(f"square kernel required, got d2={c.d2}, d1={c.d1}")
-    return c.d2
-
-
 def wick_to_kernel(a: KernelCoeffs, out_degree: int | None = None) -> KernelCoeffs:
     """Kernel of the operator with Wick symbol a, retained to out_degree.
 
     Defaults to the symbol's own support degree; pass out_degree = N to fill
     an operator matrix of truncation N (entries are exact either way).
     """
-    _require_square(a)
     deg = max(a.support_degree(), out_degree or 0)
     return t0(a, 1.0, out_degree=deg)
 
 
 def kernel_to_wick(K: KernelCoeffs, out_degree: int | None = None) -> KernelCoeffs:
     """Wick symbol of the operator with kernel K (inverse of wick_to_kernel)."""
-    _require_square(K)
     deg = out_degree if out_degree is not None else K.support_degree()
     return t0(K, -1.0, out_degree=deg)
 
 
 def antiwick_to_wick(a: KernelCoeffs) -> KernelCoeffs:
     """Wick symbol of the anti-Wick operator with symbol a; exact."""
-    _require_square(a)
     return t0_star(a, 1.0)
 
 
 def wick_to_antiwick(a: KernelCoeffs) -> KernelCoeffs:
     """Anti-Wick symbol whose operator has Wick symbol a; exact."""
-    _require_square(a)
     return t0_star(a, -1.0)
 
 
@@ -112,8 +102,8 @@ def twisted_product(a1: KernelCoeffs, a2: KernelCoeffs, out_degree: int | None =
     polynomial symbols is again polynomial, with degree at most the sum of
     the factor degrees.
     """
-    d = _require_square(a1)
-    if _require_square(a2) != d:
+    d = a1.d
+    if a2.d != d:
         raise DimensionMismatch(f"symbol dimensions differ: {d} vs {a2.d2}")
     deg1, deg2 = a1.support_degree(), a2.support_degree()
     target = deg1 + deg2 if out_degree is None else out_degree
@@ -125,7 +115,7 @@ def twisted_product(a1: KernelCoeffs, a2: KernelCoeffs, out_degree: int | None =
 
 def operator_matrix(K: KernelCoeffs, N: int) -> OperatorMatrix:
     """Dense coefficient matrix M(alpha, beta) = c_K(alpha, beta) over degree <= N."""
-    d = _require_square(K)
+    d = K.d
     index = enumerate_degree(d, N)
     pos = {a: i for i, a in enumerate(index)}
     m = np.zeros((len(index), len(index)), dtype=complex)
@@ -163,15 +153,11 @@ def a2_r_norm(K: KernelCoeffs, r: float) -> float:
     """Gaussian-weighted L^2 norm of the symbol, in exact closed form.
 
     norm^2 = pi^(d1+d2) sum |c(alpha,beta)|^2 r^(-(|alpha|+|beta|+d1+d2)),
-    from the per-axis moment  integral |z^a|^2 e^(-r|z|^2) dlambda = pi a! / r^(a+1).
+    from the per-axis moment  integral |z^a|^2 e^(-r|z|^2) dlambda = pi a! / r^(a+1);
+    that is (pi/r)^((d1+d2)/2) times the geometric-weight norm ``l2_r_norm``.
     """
-    if not (r > 0):
-        raise ValueError("r must be positive")
-    dd = K.d1 + K.d2
-    total = 0.0
-    for (alpha, beta), v in K.entries.items():
-        total += abs(v) ** 2 * r ** (-(total_degree(alpha) + total_degree(beta) + dd))
-    return math.sqrt(math.pi ** dd * total)
+    # l2_r_norm rejects r <= 0 before the factor is formed
+    return l2_r_norm(K, r) * (math.pi / r) ** ((K.d1 + K.d2) / 2)
 
 
 def t0_bound_constant(r1: float, r2: float, d: int) -> float:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from fockcalc.binomial import l2_r_norm, s0, s0_inv, t0, t0_star
 from fockcalc.errors import DimensionMismatch
-from fockcalc.multiindex import enumerate_degree, total_degree
+from fockcalc.multiindex import enumerate_degree, index_add, multi_binomial, total_degree
 from fockcalc.series import KernelCoeffs, kernel_delta
 from fockcalc.symbolcalc import t0_bound_constant
 
@@ -166,3 +167,67 @@ def test_explicit_l2_bound():
             assert l2_r_norm(out, 3.0) <= t0_bound_constant(1.0, 3.0, 1) * base1 * (1 + 1e-12)
             assert l2_r_norm(out, 4.0) <= t0_bound_constant(1.0, 4.0, 1) * base1 * (1 + 1e-12)
             assert l2_r_norm(out, 2.0) <= t0_bound_constant(0.5, 2.0, 1) * base2 * (1 + 1e-12)
+
+
+# --- loop reference ---------------------------------------------------------------
+
+def loop_powers(t, n):
+    out = [complex(1.0)]
+    for _ in range(n):
+        out.append(out[-1] * t)
+    return out
+
+
+def t0_reference(c, t, out_degree):
+    """Direct sum over the whole g-simplex, one multi_binomial pair per term."""
+    d = c.d
+    tp = loop_powers(t, out_degree)
+    out = {}
+    for (a, b), v in c.entries.items():
+        room = out_degree - max(total_degree(a), total_degree(b))
+        if room < 0:
+            continue
+        for g in enumerate_degree(d, room):
+            key = (index_add(a, g), index_add(b, g))
+            w = math.sqrt(multi_binomial(key[0], g) * multi_binomial(key[1], g))
+            out[key] = out.get(key, 0.0) + w * tp[total_degree(g)] * v
+    return KernelCoeffs(d, d, out)
+
+
+def t0_star_reference(c, t):
+    d = c.d
+    tp = loop_powers(t, c.support_degree())
+    out = {}
+    for (a, b), v in c.entries.items():
+        for g in itertools.product(*(range(min(ai, bi) + 1) for ai, bi in zip(a, b))):
+            key = (tuple(x - y for x, y in zip(a, g)), tuple(x - y for x, y in zip(b, g)))
+            w = math.sqrt(multi_binomial(a, g) * multi_binomial(b, g))
+            out[key] = out.get(key, 0.0) + w * tp[total_degree(g)] * v
+    return KernelCoeffs(d, d, out)
+
+
+def random_sparse_kernel(rng, d, degree, n_entries):
+    idx = enumerate_degree(d, degree)
+    entries = {}
+    while len(entries) < n_entries:
+        a, b = (idx[i] for i in rng.integers(len(idx), size=2))
+        entries[(a, b)] = complex(rng.standard_normal(), rng.standard_normal())
+    return KernelCoeffs(d, d, entries)
+
+
+def test_sweep_matches_loop_reference():
+    rng = np.random.default_rng(2024)
+    for d, degree in ((1, 12), (2, 8), (3, 5)):
+        for _ in range(3):
+            c = random_sparse_kernel(rng, d, degree, 12)
+            deg = c.support_degree()
+            for t in (0.6 - 0.45j, -1.3 + 0.2j):
+                pairs = [(t0(c, t, out_degree=n), t0_reference(c, t, n))
+                         for n in (deg + 4, deg - 2)]
+                pairs.append((t0_star(c, t), t0_star_reference(c, t)))
+                for out, ref in pairs:
+                    assert set(out.entries) == set(ref.entries)
+                    if d == 1:
+                        assert out.entries == ref.entries
+                    else:
+                        assert sup_diff(out, ref) <= 1e-14 * sup(ref)

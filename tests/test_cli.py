@@ -244,3 +244,16 @@ def test_dimension_exit_code(files, tmp_path, capsys):
     assert run("transform", "--input", rect, "--output", out, "--op", "s0") == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["kind"] == "dimension"
+
+
+def test_overflow_exit_code(tmp_path, capsys):
+    # the binomial weights of this raise pass the float range long before degree 1200
+    big = tmp_path / "big.json"
+    save_coeffs(kernel_delta(1, (600,), (0,)), big)
+    out = tmp_path / "x.json"
+    assert run("transform", "--input", big, "--output", out, "--op", "t0",
+               "--t", "1", "--out-degree", "1200") == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["code"] == 4
+    assert err["error"]["kind"] == "arithmetic"
+    assert not out.exists()
