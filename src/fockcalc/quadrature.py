@@ -1,15 +1,20 @@
 """Gauss-Hermite quadrature oracle for every integral formula in the package.
 
-All complex-plane integrals discretize the Gaussian measure on C^d through
-tensor-product Gauss-Hermite rules on R^(2d), with the grid recentered at
-the stationary point of the dominating Gaussian factor of each integrand:
-w = z for operator application, (z + w)/2 for the smoothing and twisted
-product integrals, and sqrt(2) Re z for the real-space transform kernel.
-With the default 64 nodes per axis the rules integrate the polynomial parts
-exactly and leave only entire-function remainders far below test tolerances.
+Every complex-plane integral is one form,
 
-Integration is d <= 3 only; tensor grids grow as M^(2d) and the identities
-under test are dimension-uniform.
+    pi^(-d) integral f(u) exp(-(z - u, w - u)) dlambda(u),
+
+evaluated by ``_gaussian_integral`` on a tensor-product Gauss-Hermite rule
+on R^(2d): z = w = 0 is the Gaussian measure itself, w = 0 operator
+application (grid recentered at u = z), and general (z, w) the smoothing,
+composition and rank-one integrals (recentered at (z + w)/2).  The
+real-space transforms recenter at sqrt(2) Re z and at x.  With the default
+64 nodes per axis the rules integrate the polynomial parts exactly and leave
+only entire-function remainders far below test tolerances.
+
+Grids hold at most MAX_GRID_NODES = 2^20 nodes, checked before anything is
+allocated: M^(2d) nodes means d = 1 takes any M, d = 2 needs M <= 32 and
+d = 3 needs M <= 10.  Complex integration is d <= 3 only.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from .symbolcalc import OperatorMatrix
 MAX_NODES = 256
 DEFAULT_NODES = 64
 MAX_COMPLEX_DIM = 3
+MAX_GRID_NODES = 2 ** 20
 
 NODES_ENV_VAR = "FOCK_QUAD_NODES"
 
@@ -103,6 +109,14 @@ def gauss_hermite_grid(M: int, dims: int, center: Sequence[float] | None = None,
         raise ValueError("dims must be >= 1")
     if not (scale > 0):
         raise ValueError("scale must be positive")
+    n = M ** dims
+    if n > MAX_GRID_NODES:
+        fit = 1
+        while (fit + 1) ** dims <= MAX_GRID_NODES:
+            fit += 1
+        raise PreconditionError(
+            f"{M} nodes per axis on {dims} axes is {n} nodes, over the budget of {MAX_GRID_NODES}; "
+            f"at most {fit} nodes per axis fit")
     c = np.zeros(dims) if center is None else np.asarray(center, dtype=float)
     if c.shape != (dims,):
         raise DimensionMismatch(f"center of shape {c.shape} does not match dims={dims}")
@@ -111,7 +125,6 @@ def gauss_hermite_grid(M: int, dims: int, center: Sequence[float] | None = None,
     flat_axis = scale * w * np.exp(x * x)
     axis_w = scale * w
 
-    n = M ** dims
     nodes = np.empty((n, dims))
     weights = np.ones(n)
     flat = np.ones(n)
@@ -191,22 +204,40 @@ def _check_finite(vals: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _hermitian_dot(z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """(z, w) = sum z_j conj(w_j), broadcasting over a leading point axis."""
-    return np.sum(z * np.conj(w), axis=-1)
+def _dim(d: int | None, a, F=None) -> int:
+    """d if given, else the dimension of the symbol a or of the series F, else 1."""
+    if d is not None:
+        return d
+    if isinstance(a, KernelCoeffs):
+        return a.d2
+    if isinstance(F, SeriesCoeffs):
+        return F.d
+    return 1
 
 
-def integrate_gaussian_c(f: Callable, d: int, grid: QuadratureGrid) -> complex:
-    """Integral of f against the normalized Gaussian measure on C^d."""
+def _gaussian_integral(f: Callable, d: int, grid: QuadratureGrid, z: np.ndarray, w: np.ndarray) -> complex:
+    """pi^(-d) integral f(u) exp(-(z - u, w - u)) dlambda(u) on the grid's complex nodes u."""
     if grid.dims != 2 * d:
         raise DimensionMismatch(f"grid dims {grid.dims} != 2*d = {2 * d}")
 
     def integrand(pts):
-        z = to_complex(pts)
-        vals = np.asarray(f(z), dtype=complex)
-        return _check_finite(vals * np.exp(-np.sum(np.abs(z) ** 2, axis=-1)))
+        u = to_complex(pts)
+        # (z - u, w - u) one axis at a time keeps the temporaries to single columns
+        expo = -sum((z[j] - u[:, j]) * np.conj(w[j] - u[:, j]) for j in range(d))
+        return _check_finite(np.asarray(f(u), dtype=complex) * np.exp(expo))
 
     return grid.integrate(integrand) * math.pi ** (-d)
+
+
+def _recentred_integral(f: Callable, d: int, z: np.ndarray, w: np.ndarray, center: np.ndarray,
+                        M: int | None) -> complex:
+    """The same integral on an M-node rule (default_nodes() if M is None) centred at center."""
+    return _gaussian_integral(f, d, complex_grid(M or default_nodes(), d, center=center), z, w)
+
+
+def integrate_gaussian_c(f: Callable, d: int, grid: QuadratureGrid) -> complex:
+    """Integral of f against the normalized Gaussian measure on C^d."""
+    return _gaussian_integral(f, d, grid, np.zeros(d), np.zeros(d))
 
 
 # ---------------------------------------------------------------------------
@@ -219,34 +250,19 @@ def wick_apply_quad(a, F, z, M: int | None = None, d: int | None = None) -> comp
     pi^(-d) integral a(z, w) F(w) exp((z, w) - |w|^2) dlambda(w), recentered
     at w = z where the Gaussian factor peaks.
     """
-    if d is None:
-        d = a.d2 if isinstance(a, KernelCoeffs) else (F.d if isinstance(F, SeriesCoeffs) else 1)
+    d = _dim(d, a, F)
     zz = _as_cvector(z, d)
     af, ff = _kernel_fn(a), _series_fn(F)
-    grid = complex_grid(M or default_nodes(), d, center=zz)
-
-    def integrand(pts):
-        w = to_complex(pts)
-        expo = _hermitian_dot(zz[np.newaxis, :], w) - np.sum(np.abs(w) ** 2, axis=-1)
-        return _check_finite(af(zz, w) * np.asarray(ff(w), dtype=complex) * np.exp(expo))
-
-    return grid.integrate(integrand) * math.pi ** (-d)
+    return _recentred_integral(lambda u: af(zz, u) * np.asarray(ff(u), dtype=complex),
+                               d, zz, np.zeros(d), zz, M)
 
 
 def antiwick_apply_quad(a_diag, F, z, M: int | None = None, d: int | None = None) -> complex:
     """Anti-Wick application: only the diagonal values a(w, w) enter the integrand."""
-    if d is None:
-        d = a_diag.d2 if isinstance(a_diag, KernelCoeffs) else (F.d if isinstance(F, SeriesCoeffs) else 1)
+    d = _dim(d, a_diag, F)
     zz = _as_cvector(z, d)
     af, ff = _diag_fn(a_diag), _series_fn(F)
-    grid = complex_grid(M or default_nodes(), d, center=zz)
-
-    def integrand(pts):
-        w = to_complex(pts)
-        expo = _hermitian_dot(zz[np.newaxis, :], w) - np.sum(np.abs(w) ** 2, axis=-1)
-        return _check_finite(np.asarray(af(w), dtype=complex) * np.asarray(ff(w), dtype=complex) * np.exp(expo))
-
-    return grid.integrate(integrand) * math.pi ** (-d)
+    return _recentred_integral(lambda u: af(u) * np.asarray(ff(u), dtype=complex), d, zz, np.zeros(d), zz, M)
 
 
 def berezin_transform_quad(a_diag, z, w, M: int | None = None, d: int | None = None) -> complex:
@@ -255,19 +271,10 @@ def berezin_transform_quad(a_diag, z, w, M: int | None = None, d: int | None = N
     pi^(-d) integral a(w1, w1) exp(-(z - w1, w - w1)) dlambda(w1), recentered
     at (z + w)/2.
     """
-    if d is None:
-        d = a_diag.d2 if isinstance(a_diag, KernelCoeffs) else 1
+    d = _dim(d, a_diag)
     zz = _as_cvector(z, d)
     ww = _as_cvector(w, d)
-    af = _diag_fn(a_diag)
-    grid = complex_grid(M or default_nodes(), d, center=(zz + ww) / 2.0)
-
-    def integrand(pts):
-        w1 = to_complex(pts)
-        expo = -_hermitian_dot(zz[np.newaxis, :] - w1, ww[np.newaxis, :] - w1)
-        return _check_finite(np.asarray(af(w1), dtype=complex) * np.exp(expo))
-
-    return grid.integrate(integrand) * math.pi ** (-d)
+    return _recentred_integral(_diag_fn(a_diag), d, zz, ww, (zz + ww) / 2.0, M)
 
 
 # ---------------------------------------------------------------------------
@@ -397,20 +404,12 @@ def twisted_product_quad(a1, a2, z, w, M: int | None = None, d: int | None = Non
     pi^(-d) integral a1(z, u) a2(u, w) exp(-(z - u, w - u)) dlambda(u),
     recentered at (z + w)/2.
     """
-    if d is None:
-        d = a1.d2 if isinstance(a1, KernelCoeffs) else 1
+    d = _dim(d, a1)
     zz = _as_cvector(z, d)
     ww = _as_cvector(w, d)
     f1, f2 = _kernel_fn(a1), _kernel_fn(a2)
-    grid = complex_grid(M or default_nodes(), d, center=(zz + ww) / 2.0)
-
-    def integrand(pts):
-        u = to_complex(pts)
-        expo = -_hermitian_dot(zz[np.newaxis, :] - u, ww[np.newaxis, :] - u)
-        return _check_finite(np.asarray(f1(zz, u), dtype=complex)
-                             * np.asarray(f2(u, ww), dtype=complex) * np.exp(expo))
-
-    return grid.integrate(integrand) * math.pi ** (-d)
+    return _recentred_integral(lambda u: f1(zz, u) * np.asarray(f2(u, ww), dtype=complex),
+                               d, zz, ww, (zz + ww) / 2.0, M)
 
 
 def rank_one_check(alpha: Sequence[int], beta: Sequence[int], t: complex, z, w,
@@ -433,15 +432,8 @@ def rank_one_check(alpha: Sequence[int], beta: Sequence[int], t: complex, z, w,
     t0c = cmath.sqrt(t)
     zz = _as_cvector(z, d)
     ww = _as_cvector(w, d)
-
-    grid = complex_grid(M or default_nodes(), d, center=(zz + ww) / 2.0)
-
-    def integrand(pts):
-        w1 = to_complex(pts)
-        expo = -_hermitian_dot(zz[np.newaxis, :] - w1, ww[np.newaxis, :] - w1)
-        return _check_finite(eval_basis(a, t0c * w1) * eval_basis(b, t0c * np.conj(w1)) * np.exp(expo))
-
-    lhs = grid.integrate(integrand) * math.pi ** (-d)
+    lhs = _recentred_integral(lambda w1: eval_basis(a, t0c * w1) * eval_basis(b, t0c * np.conj(w1)),
+                              d, zz, ww, (zz + ww) / 2.0, M)
 
     rhs = 0.0 + 0.0j
     gmax = tuple(min(ai, bi) for ai, bi in zip(a, b))

@@ -156,7 +156,9 @@ def eval_basis(alpha: MultiIndex, z) -> complex | np.ndarray:
     for j, a in enumerate(alpha):
         if a:
             vals = vals * pts[:, j] ** a
-    vals = vals / math.sqrt(multi_factorial(alpha))
+    # sqrt(alpha!) from an integer square root with 64 fraction bits: the
+    # factorial itself may exceed float range where its root does not
+    vals = vals / (math.isqrt(multi_factorial(alpha) << 128) / (1 << 64))
     return complex(vals[0]) if single else vals
 
 

@@ -33,7 +33,13 @@ from fockcalc.series import (
     kernel_delta,
     series_delta,
 )
-from fockcalc.symbolcalc import antiwick_to_wick, apply_operator, operator_matrix, wick_to_kernel
+from fockcalc.symbolcalc import (
+    antiwick_to_wick,
+    apply_operator,
+    operator_matrix,
+    twisted_product,
+    wick_to_kernel,
+)
 
 
 def random_kernel(rng, d, degree):
@@ -67,6 +73,15 @@ def test_grid_limits():
         gauss_hermite_grid(300, 1)
     with pytest.raises(PreconditionError):
         complex_grid(8, 4)
+
+
+def test_grid_node_budget():
+    # rejected before any array is built: 64^6 nodes would need terabytes
+    with pytest.raises(PreconditionError, match="at most 10 nodes per axis"):
+        complex_grid(64, 3)
+    with pytest.raises(PreconditionError, match="1185921 nodes.*at most 32 nodes per axis"):
+        complex_grid(33, 2)
+    assert complex_grid(32, 2).nodes.shape == (32 ** 4, 4)
 
 
 def test_polynomial_exactness():
@@ -300,6 +315,31 @@ def test_routes_agree_on_random_symbols():
             worst = max(worst, abs(wick_apply_quad(a, F, z, M=64) - eval_series(TF, z)))
             worst = max(worst, abs(antiwick_apply_quad(a, F, z, M=64) - eval_series(TFaw, z)))
     assert worst < 1e-7
+
+
+def test_routes_agree_in_two_dimensions():
+    # each complex-plane integral form against its coefficient route at d = 2
+    rng = np.random.default_rng(32)
+    M = 16
+    worst = 0.0
+    for _ in range(2):
+        a1, a2 = random_kernel(rng, 2, 2), random_kernel(rng, 2, 2)
+        F = SeriesCoeffs(2, {k: complex(*rng.standard_normal(2)) for k in enumerate_degree(2, 3)})
+        out = a1.support_degree() + F.support_degree()
+        TF = apply_operator(wick_to_kernel(a1, out_degree=out), F)
+        aw = antiwick_to_wick(a1)
+        TFaw = apply_operator(wick_to_kernel(aw, out_degree=out), F)
+        tw = twisted_product(a1, a2)
+        for _ in range(2):
+            z, w = (rng.uniform(-0.7, 0.7, 2) + 1j * rng.uniform(-0.7, 0.7, 2) for _ in range(2))
+            worst = max(worst,
+                        abs(wick_apply_quad(a1, F, z, M=M) - eval_series(TF, z)),
+                        abs(antiwick_apply_quad(a1, F, z, M=M) - eval_series(TFaw, z)),
+                        abs(berezin_transform_quad(a1, z, w, M=M) - eval_kernel(aw, z, w)),
+                        abs(twisted_product_quad(a1, a2, z, w, M=M) - eval_kernel(tw, z, w)))
+            r = rank_one_check((2, 1), (1, 2), 0.5 + 0.3j, z, w, M=M)
+            worst = max(worst, abs(r["lhs"] - r["rhs"]))
+    assert worst < 1e-9
 
 
 def test_toeplitz_agrees_with_coefficient_route():

@@ -39,6 +39,22 @@ def test_eval_basis_values():
     assert abs(eval_basis((1, 1), np.array([1j, 1 + 1j])) - (-1 + 1j)) < 1e-14
 
 
+@pytest.mark.parametrize("alpha", [(171,), (300,), (120, 120)])
+def test_eval_basis_beyond_float_factorial(alpha):
+    # alpha! exceeds float range here while e_alpha on the unit circle does not
+    mpmath = pytest.importorskip("mpmath")
+    phases = np.array([0.0, 0.7, -1.6, 3.0])
+    pts = np.stack([np.exp(1j * (j + 1) * phases) for j in range(len(alpha))], axis=-1)
+    vals = eval_basis(alpha, pts)
+    with mpmath.workdps(40):
+        refs = [complex(mpmath.fprod(mpmath.mpc(zj) ** a / mpmath.sqrt(mpmath.factorial(a))
+                                     for zj, a in zip(z, alpha))) for z in pts]
+    # at z = 1 only the normaliser rounds; complex powers elsewhere lose ~eps per degree
+    assert abs(vals[0] - refs[0]) <= 1e-15 * abs(refs[0])
+    for v, ref in zip(vals, refs):
+        assert abs(v - ref) <= 1e-15 * sum(alpha) * abs(ref)
+
+
 def test_eval_series_single_and_linear():
     assert abs(eval_series(series_delta(1, (2,)), 2.0) - 2 * math.sqrt(2)) < 1e-14
     F = SeriesCoeffs(1, {(0,): 1.0, (1,): 1.0})
