@@ -7,21 +7,38 @@ Both are exact on finitely supported input: every retained output entry
 is a finite sum evaluated in full.
 
 ``t0(t) = exp(t R)`` with R the nilpotent diagonal raise, and the factors
-``exp(t R_j)`` of the individual axes commute, so both operators are computed
-as one sweep over the sparse entry map per axis.
+``exp(t R_j)`` of the individual axes commute, so both operators are one
+numpy pass per axis over arrays of entries.  A pass repeats each entry once
+per step g of its range, weights the copy by sqrt(C(hi_a, g) C(hi_b, g)) t^g
+with the binomials read from a cached float table of exact integers, moves
+it by g on that axis and sums the copies that land on one key.  Keys are
+packed into int64 words (more than one word when the index range needs
+it).  Real and imaginary parts are multiplied and summed separately, each
+key's copies in the order of a loop over entries and steps: a
+one-dimensional transition adds its terms in the order that loop would.
+Dicts are converted to arrays and back only at the container boundary.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from itertools import chain
 from typing import Dict, List
 
-from .multiindex import total_degree
-from .series import KernelCoeffs, KernelKey
+import numpy as np
+
+from .multiindex import MultiIndex, total_degree
+from .series import KernelCoeffs
 
 DEFAULT_EXTENSION = 8
 
 _I_POWERS = (1.0, 1j, -1.0, -1j)
+
+_INT64_SPAN = 2 ** 63
+
+# copies formed at once by one sweep pass (one line alone may take more)
+SWEEP_BLOCK = 1 << 13
 
 
 def _powers(t: complex, n: int) -> List[complex]:
@@ -36,41 +53,165 @@ def _powers(t: complex, n: int) -> List[complex]:
     return out
 
 
+@functools.lru_cache(maxsize=8)
+def _binomials(rows: int, cols: int) -> np.ndarray:
+    """Read-only table of C(k+g, g) for k < rows, g < cols, as floats.
+
+    Each entry is the correctly rounded float of the exact integer, or inf
+    past float range (C(k+g, g) grows with g, so the rest of a row stays inf).
+    """
+    table = np.full((rows, cols), math.inf)
+    for k in range(rows):
+        row, c = [], 1
+        for g in range(cols):
+            if g:
+                c = c * (k + g) // g
+            try:
+                row.append(float(c))
+            except OverflowError:
+                break
+        table[k, :len(row)] = row
+    table.setflags(write=False)
+    return table
+
+
+def _round_up(n: int) -> int:
+    """Table sizes in steps of 16, so that nearby sizes share one cached table."""
+    return -(-n // 16) * 16
+
+
+def _pack(cols: np.ndarray, radix: int) -> tuple[List[np.ndarray], List[tuple[int, int]]]:
+    """Pack the columns of a non-negative int array (each < radix) into int64 words.
+
+    As many columns as fit below 2^63 share a word, the first most significant,
+    so the words compare like the column tuples.  Returns the words and, per
+    column, (word, multiplier).
+    """
+    n_cols = cols.shape[1]
+    per_word = 1
+    while per_word < n_cols and radix ** (per_word + 1) <= _INT64_SPAN:
+        per_word += 1
+    place = []
+    for c in range(n_cols):
+        w, pos = divmod(c, per_word)
+        width = min(per_word, n_cols - w * per_word)
+        place.append((w, radix ** (width - 1 - pos)))
+    words = [np.zeros(cols.shape[0], dtype=np.int64) for _ in range(-(-n_cols // per_word))]
+    for c, (w, mult) in enumerate(place):
+        words[w] += cols[:, c] * mult
+    return words, place
+
+
 def _sweep(c: KernelCoeffs, t: complex, out_degree: int | None) -> KernelCoeffs:
     """Apply exp(t R_j), or its adjoint when out_degree is None, on each axis j in turn.
 
     Raising sends (a_j, b_j) -> (a_j+g, b_j+g) for g <= out_degree - max(|a|, |b|);
     lowering sends it to (a_j-g, b_j-g) for g <= min(a_j, b_j).  The weight is
     sqrt(C(hi_a, g) C(hi_b, g)) t^g, hi being the larger of the two indices
-    on that axis; both binomials stay exact integers under one square root.
-    Degrees only rise when raising, so dropping intermediate entries above
-    out_degree loses nothing that a retained entry needs.
+    on that axis; the product of the two binomials passes through one square
+    root.  Degrees only rise when raising, so dropping intermediate entries
+    above out_degree loses nothing that a retained entry needs.
+
+    Copies meet only if their entries lie on one line of the axis: equal
+    indices off axis j and equal a_j - b_j.  A pass sorts the entries by line,
+    stably, then forms the copies of whole lines, about SWEEP_BLOCK at a time,
+    and sums them into slots (line, min(a_j, b_j)).
     """
     d = c.d
+    if not c.entries:
+        return KernelCoeffs(d, d)
     raising = out_degree is not None
     tp = _powers(t, out_degree if raising else c.support_degree())
+    g_max = len(tp) - 1
+    n = len(c.entries)
+    keys = np.fromiter(chain.from_iterable(a + b for a, b in c.entries), dtype=np.int64,
+                       count=2 * d * n).reshape(n, 2 * d)
+    values = np.fromiter(c.entries.values(), dtype=complex, count=n)
+    re, im = values.real, values.imag
+    k_max = int(keys.max())
+    # components never pass out_degree when raising and never rise when lowering
+    top = max(k_max, min(out_degree, k_max + g_max)) if raising else k_max
+    radix = top + 1
+    words, place = _pack(keys, radix)
+    deg = np.maximum(keys[:, :d].sum(axis=1), keys[:, d:].sum(axis=1))  # max(|a|, |b|)
+    reach = out_degree - int(deg.min()) if raising else k_max
+    del keys
+    # C(k+g, g) with k the lower end of the step: the input index when raising,
+    # the output index when lowering; either way k <= k_max
+    table = _binomials(_round_up(k_max + 1), _round_up(min(g_max, max(reach, 0)) + 1))
+    tp_re = np.array([p.real for p in tp])
+    tp_im = np.array([p.imag for p in tp])
     step = 1 if raising else -1
-    entries = c.entries
+    lines_per_block = max(SWEEP_BLOCK // radix, 1)
     for j in range(d):
-        swept: Dict[KernelKey, complex] = {}
-        for (a, b), v in entries.items():
-            aj, bj = a[j], b[j]
-            if raising:
-                reach = out_degree - max(total_degree(a), total_degree(b))
-            else:
-                reach = min(aj, bj)
-            a_pre, a_post, b_pre, b_post = a[:j], a[j + 1:], b[:j], b[j + 1:]
-            ca = cb = 1
-            for g in range(min(reach, len(tp) - 1) + 1):
-                if g:
-                    # exact integer steps: C(aj+g, g) from C(aj+g-1, g-1) when raising,
-                    # C(aj, g) from C(aj, g-1) when lowering
-                    ca = ca * (aj + g if raising else aj + 1 - g) // g
-                    cb = cb * (bj + g if raising else bj + 1 - g) // g
-                key = (a_pre + (aj + step * g,) + a_post, b_pre + (bj + step * g,) + b_post)
-                swept[key] = swept.get(key, 0.0) + math.sqrt(ca * cb) * tp[g] * v
-        entries = swept
-    return KernelCoeffs(d, d, entries)
+        if not re.size:
+            break
+        (wa, ma), (wb, mb) = place[j], place[d + j]
+        aj = words[wa] // ma % radix
+        bj = words[wb] // mb % radix
+        low = np.minimum(aj, bj)
+        line = list(words)
+        line[wa] = line[wa] - low * ma
+        line[wb] = line[wb] - low * mb
+        order = np.lexsort(line[::-1])
+        line = [w[order] for w in line]
+        aj, bj, low, re, im, deg = (x[order] for x in (aj, bj, low, re, im, deg))
+        counts = np.minimum(out_degree - deg if raising else low, g_max) + 1
+        np.maximum(counts, 0, out=counts)
+        new = np.empty(len(order), dtype=bool)
+        new[0] = True
+        np.not_equal(line[0][1:], line[0][:-1], out=new[1:])
+        for w in line[1:]:
+            new[1:] |= w[1:] != w[:-1]
+        line_id = new.cumsum() - 1
+        starts = np.concatenate((new.nonzero()[0], [len(order)]))
+        ends = counts.cumsum()
+        at = np.concatenate(([0], ends))[starts]  # copies before each line
+        out_words: List[List[np.ndarray]] = [[] for _ in words]
+        out_re, out_im, out_deg = [], [], []
+        i = 0
+        while i < len(starts) - 1:
+            k = int(np.searchsorted(at, at[i] + SWEEP_BLOCK, side="right")) - 1
+            k = min(max(k, i + 1), i + lines_per_block, len(starts) - 1)
+            lo, hi = starts[i], starts[k]
+            cnt = counts[lo:hi]
+            g = np.arange(at[k] - at[i]) - (ends[lo:hi] - cnt - at[i]).repeat(cnt)
+            ka = aj[lo:hi].repeat(cnt)
+            kb = bj[lo:hi].repeat(cnt)
+            if not raising:
+                ka -= g
+                kb -= g
+            weight = table[ka, g] * table[kb, g]
+            if not np.isfinite(weight).all():
+                raise OverflowError(f"binomial weight out of float range on axis {j + 1}")
+            np.sqrt(weight, out=weight)
+            xr, xi = weight * tp_re[g], weight * tp_im[g]
+            vr, vi = re[lo:hi].repeat(cnt), im[lo:hi].repeat(cnt)
+            slot = ((line_id[lo:hi] - i) * radix + low[lo:hi]).repeat(cnt) + step * g
+            # (xr + i xi)(vr + i vi) part by part; bincount adds each slot's copies in order
+            sum_re = np.bincount(slot, weights=xr * vr - xi * vi, minlength=(k - i) * radix)
+            sum_im = np.bincount(slot, weights=xr * vi + xi * vr, minlength=(k - i) * radix)
+            hit = ((sum_re != 0) | (sum_im != 0)).nonzero()[0]
+            pos = hit % radix
+            src = starts[i + hit // radix]
+            for out, word in zip(out_words, line):
+                out.append(word[src])
+            out_words[wa][-1] += pos * ma
+            out_words[wb][-1] += pos * mb
+            out_re.append(sum_re[hit])
+            out_im.append(sum_im[hit])
+            out_deg.append(deg[src] - low[src] + pos)
+            i = k
+        words = [np.concatenate(out) for out in out_words]
+        re, im, deg = np.concatenate(out_re), np.concatenate(out_im), np.concatenate(out_deg)
+    cols = [(words[w] // mult % radix).tolist() for w, mult in place]
+    values = np.empty(len(re), dtype=complex)
+    values.real, values.imag = re, im
+    # one tuple object per distinct multi-index, shared by every key that holds it
+    shared: Dict[MultiIndex, MultiIndex] = {}
+    alphas = [shared.setdefault(a, a) for a in zip(*cols[:d])]
+    betas = [shared.setdefault(b, b) for b in zip(*cols[d:])]
+    return KernelCoeffs(d, d, dict(zip(zip(alphas, betas), values.tolist())))
 
 
 def t0(c: KernelCoeffs, t: complex, out_degree: int | None = None) -> KernelCoeffs:

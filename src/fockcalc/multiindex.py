@@ -22,7 +22,8 @@ def validate_index(alpha: Sequence[int]) -> MultiIndex:
     if len(idx) < 1:
         raise ValueError("multi-index must have length >= 1")
     for a in idx:
-        if not isinstance(a, (int,)) or isinstance(a, bool) or a < 0:
+        # exact ints pass the type test at once; int subclasses other than bool also pass
+        if type(a) is not int and (not isinstance(a, int) or isinstance(a, bool)) or a < 0:
             raise ValueError(f"multi-index entries must be non-negative integers, got {idx!r}")
     return idx
 

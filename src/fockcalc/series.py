@@ -9,6 +9,7 @@ treated as immutable after construction.
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import Dict, Iterable, Tuple
 
@@ -45,7 +46,7 @@ class SeriesCoeffs:
             if len(idx) != d:
                 raise DimensionMismatch(f"index {idx} has dimension {len(idx)}, expected {d}")
             cv = complex(v)
-            if not (math.isfinite(cv.real) and math.isfinite(cv.imag)):
+            if not cmath.isfinite(cv):
                 raise ValueError(f"non-finite coefficient at {idx}")
             if cv != 0:
                 clean[idx] = cv
@@ -92,7 +93,7 @@ class KernelCoeffs:
                     f"key ({a}, {b}) has dimensions ({len(a)}, {len(b)}), expected ({d2}, {d1})"
                 )
             cv = complex(v)
-            if not (math.isfinite(cv.real) and math.isfinite(cv.imag)):
+            if not cmath.isfinite(cv):
                 raise ValueError(f"non-finite coefficient at ({a}, {b})")
             if cv != 0:
                 clean[(a, b)] = cv
@@ -148,6 +149,14 @@ def _as_points(z, d: int, dtype=complex) -> tuple[np.ndarray, bool]:
     raise DimensionMismatch(f"point array of shape {arr.shape} does not match dimension {d}")
 
 
+def _int_sqrt(n: int) -> float:
+    """sqrt(n) from an integer square root with 64 fraction bits.
+
+    n itself may exceed float range where its root does not.
+    """
+    return math.isqrt(n << 128) / (1 << 64)
+
+
 def eval_basis(alpha: MultiIndex, z) -> complex | np.ndarray:
     """e_alpha(z) = z^alpha / sqrt(alpha!), vectorized over a trailing point axis."""
     alpha = tuple(alpha)
@@ -156,9 +165,7 @@ def eval_basis(alpha: MultiIndex, z) -> complex | np.ndarray:
     for j, a in enumerate(alpha):
         if a:
             vals = vals * pts[:, j] ** a
-    # sqrt(alpha!) from an integer square root with 64 fraction bits: the
-    # factorial itself may exceed float range where its root does not
-    vals = vals / (math.isqrt(multi_factorial(alpha) << 128) / (1 << 64))
+    vals = vals / _int_sqrt(multi_factorial(alpha))
     return complex(vals[0]) if single else vals
 
 
@@ -255,22 +262,19 @@ def coefficient_conjugate(F: SeriesCoeffs) -> SeriesCoeffs:
 def diamond(F1: SeriesCoeffs, F2: SeriesCoeffs) -> SeriesCoeffs:
     """Action of F1 as a constant-coefficient differential operator on F2.
 
-    diamond(F1, F2) = sum_alpha c1(alpha)/sqrt(alpha!) d^alpha F2, realized by
-    repeated single-axis differentiation.
+    diamond(F1, F2) = sum_alpha c1(alpha)/sqrt(alpha!) d^alpha F2.  Since
+    d^alpha e_beta = sqrt(beta! / (beta-alpha)!) e_(beta-alpha), each pair with
+    alpha <= beta adds sqrt(C(beta, alpha)) c1(alpha) c2(beta) at beta - alpha.
     """
     if F1.d != F2.d:
         raise DimensionMismatch(f"series dimensions differ: {F1.d} vs {F2.d}")
     out: Dict[MultiIndex, complex] = {}
-    for alpha, v in F1.entries.items():
-        G = F2
-        for j, a in enumerate(alpha, start=1):
-            for _ in range(a):
-                G = ladder(G, j, LADDER_DIFFERENTIATE)
-            if not G.entries:
-                break
-        scale = v / math.sqrt(multi_factorial(alpha))
-        for beta, g in G.entries.items():
-            out[beta] = out.get(beta, 0.0) + scale * g
+    for alpha, v1 in F1.entries.items():
+        for beta, v2 in F2.entries.items():
+            c = multi_binomial(beta, alpha)  # zero unless alpha <= beta
+            if c:
+                key = tuple(b - a for a, b in zip(alpha, beta))
+                out[key] = out.get(key, 0.0) + _int_sqrt(c) * v1 * v2
     return SeriesCoeffs(F1.d, out)
 
 

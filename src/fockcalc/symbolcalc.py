@@ -18,7 +18,10 @@ import numpy as np
 from .binomial import l2_r_norm, t0, t0_star
 from .errors import DimensionMismatch, PreconditionError
 from .multiindex import MultiIndex, enumerate_degree
-from .series import KernelCoeffs, KernelKey, SeriesCoeffs
+from .series import KernelCoeffs, SeriesCoeffs
+
+# products formed at once by compose_kernels (one row of K2 may take more)
+COMPOSE_BLOCK = 1 << 13
 
 
 @dataclass
@@ -79,18 +82,81 @@ def apply_operator(K: KernelCoeffs, F: SeriesCoeffs) -> SeriesCoeffs:
 
 
 def compose_kernels(K2: KernelCoeffs, K1: KernelCoeffs) -> KernelCoeffs:
-    """Kernel of K2 after K1: c(alpha, delta) = sum_beta c2(alpha, beta) c1(beta, delta)."""
+    """Kernel of K2 after K1: c(alpha, delta) = sum_beta c2(alpha, beta) c1(beta, delta).
+
+    K1 is grouped by its row index beta, the index it shares with K2.  The
+    products are formed for whole rows alpha of K2 at a time, at most
+    COMPOSE_BLOCK of them per block unless one row alone has more (a row has
+    at most len(K1) products), so memory grows with the number of entries and
+    never with the index sets.  Each output entry adds its terms in the order
+    of a loop over K2's entries.
+    """
     if K2.d1 != K1.d2:
         raise DimensionMismatch(f"inner dimensions differ: {K2.d1} vs {K1.d2}")
-    rows: Dict[MultiIndex, List] = {}
-    for (beta, delta), v1 in K1.entries.items():
-        rows.setdefault(beta, []).append((delta, v1))
-    out: Dict[KernelKey, complex] = {}
-    for (alpha, beta), v2 in K2.entries.items():
-        for delta, v1 in rows.get(beta, ()):
-            key = (alpha, delta)
-            out[key] = out.get(key, 0.0) + v2 * v1
-    return KernelCoeffs(K2.d2, K1.d1, out)
+    inner: Dict[MultiIndex, int] = {}
+    deltas: Dict[MultiIndex, int] = {}
+    b1 = np.fromiter((inner.setdefault(b, len(inner)) for b, _ in K1.entries), np.intp, len(K1))
+    c1 = np.fromiter((deltas.setdefault(dl, len(deltas)) for _, dl in K1.entries), np.intp, len(K1))
+    v1 = np.fromiter(K1.entries.values(), complex, len(K1))
+    alphas: Dict[MultiIndex, int] = {}
+    a2, b2, v2 = [], [], []
+    for (alpha, beta), v in K2.entries.items():
+        bi = inner.get(beta)
+        if bi is not None:
+            a2.append(alphas.setdefault(alpha, len(alphas)))
+            b2.append(bi)
+            v2.append(v)
+    # K1 row by row (dict order within a row); K2 likewise
+    by_row = np.argsort(b1, kind="stable")
+    c1, v1 = c1[by_row], v1[by_row]
+    row_len = np.bincount(b1, minlength=len(inner))
+    row_start = np.cumsum(row_len) - row_len
+    a2 = np.array(a2, dtype=np.intp)
+    by_row = np.argsort(a2, kind="stable")
+    a2 = a2[by_row]
+    b2 = np.array(b2, dtype=np.intp)[by_row]
+    v2 = np.array(v2, dtype=complex)[by_row]
+    counts = row_len[b2]
+    before = np.concatenate(([0], np.cumsum(counts)))
+    cuts = np.append(np.flatnonzero(np.diff(a2, prepend=-1)), len(a2))
+    at = before[cuts]
+    n_delta = max(len(deltas), 1)
+    keys, re, im = [], [], []
+    i = 0
+    while i < len(cuts) - 1:
+        k = max(int(np.searchsorted(at, at[i] + COMPOSE_BLOCK, side="right")) - 1, i + 1)
+        lo, hi = cuts[i], cuts[k]
+        i = k
+        cnt = counts[lo:hi]
+        total = int(before[hi] - before[lo])
+        if not total:
+            continue
+        s1 = np.arange(total) + np.repeat(row_start[b2[lo:hi]] - (before[lo:hi] - before[lo]), cnt)
+        x2, x1 = np.repeat(v2[lo:hi], cnt), v1[s1]
+        # complex multiply part by part
+        term_re = x2.real * x1.real - x2.imag * x1.imag
+        term_im = x2.real * x1.imag + x2.imag * x1.real
+        key = np.repeat(a2[lo:hi], cnt) * n_delta + c1[s1]
+        # number the distinct keys; bincount adds each key's products in order
+        order = np.argsort(key)
+        ordered = key[order]
+        new = np.empty(total, dtype=bool)
+        new[0] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+        group = np.empty(total, dtype=np.intp)
+        group[order] = np.cumsum(new) - 1
+        keys.append(ordered[new])
+        re.append(np.bincount(group, weights=term_re))
+        im.append(np.bincount(group, weights=term_im))
+    if not keys:
+        return KernelCoeffs(K2.d2, K1.d1)
+    key = np.concatenate(keys)
+    values = np.empty(len(key), dtype=complex)
+    values.real, values.imag = np.concatenate(re), np.concatenate(im)
+    alpha_of, delta_of = list(alphas), list(deltas)
+    out_keys = zip(map(alpha_of.__getitem__, (key // n_delta).tolist()),
+                   map(delta_of.__getitem__, (key % n_delta).tolist()))
+    return KernelCoeffs(K2.d2, K1.d1, dict(zip(out_keys, values.tolist())))
 
 
 def twisted_product(a1: KernelCoeffs, a2: KernelCoeffs, out_degree: int | None = None) -> KernelCoeffs:

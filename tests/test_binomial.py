@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fockcalc import binomial
 from fockcalc.binomial import l2_r_norm, s0, s0_inv, t0, t0_star
 from fockcalc.errors import DimensionMismatch
 from fockcalc.multiindex import enumerate_degree, index_add, multi_binomial, total_degree
@@ -231,3 +234,58 @@ def test_sweep_matches_loop_reference():
                         assert out.entries == ref.entries
                     else:
                         assert sup_diff(out, ref) <= 1e-14 * sup(ref)
+
+
+def test_sweep_blocks_match_loop_reference(monkeypatch):
+    # a block of 16 copies splits every pass into many blocks
+    monkeypatch.setattr(binomial, "SWEEP_BLOCK", 16)
+    rng = np.random.default_rng(77)
+    kernels = [random_kernel(rng, 1, 10)]
+    kernels += [random_sparse_kernel(rng, d, degree, 40) for d, degree in ((1, 12), (2, 8), (3, 5))]
+    t = 0.6 - 0.45j
+    for c in kernels:
+        n = c.support_degree() + 2
+        for out, ref in ((t0(c, t, out_degree=n), t0_reference(c, t, n)),
+                         (t0_star(c, t), t0_star_reference(c, t))):
+            assert set(out.entries) == set(ref.entries)
+            if c.d == 1:
+                assert out.entries == ref.entries
+            else:
+                assert sup_diff(out, ref) <= 1e-14 * sup(ref)
+
+
+def test_keys_beyond_one_int64_word():
+    # at d = 6 and out-degree 65 the twelve key components need 66^12 > 2^63 values
+    c = KernelCoeffs(6, 6, {((64, 0, 0, 0, 0, 0), (0,) * 6): 0.8 - 0.3j})
+    t = 0.7 + 0.2j
+    raised = t0(c, t, out_degree=65)
+    ref = t0_reference(c, t, 65)
+    assert set(raised.entries) == set(ref.entries) and len(ref.entries) == 7
+    assert sup_diff(raised, ref) <= 1e-14 * sup(ref)
+    lowered = t0_star(raised, -t)
+    ref = t0_star_reference(raised, -t)
+    assert set(lowered.entries) == set(ref.entries)
+    assert sup_diff(lowered, ref) <= 1e-14 * sup(ref)
+
+
+# --- properties against the loop references -----------------------------------------
+
+@st.composite
+def sparse_kernels(draw):
+    d = draw(st.integers(1, 3))
+    index = st.lists(st.integers(0, 6), min_size=d, max_size=d).map(tuple)
+    value = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+    entries = draw(st.dictionaries(st.tuples(index, index), value, min_size=1, max_size=12))
+    return KernelCoeffs(d, d, entries)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(c=sparse_kernels(),
+       t=st.complex_numbers(min_magnitude=0.1, max_magnitude=1.5, allow_nan=False, allow_infinity=False),
+       shift=st.integers(-3, 4))
+def test_sweep_properties(c, t, shift):
+    out_degree = max(c.support_degree() + shift, 0)
+    for out, ref in ((t0(c, t, out_degree=out_degree), t0_reference(c, t, out_degree)),
+                     (t0_star(c, t), t0_star_reference(c, t))):
+        assert set(out.entries) == set(ref.entries)
+        assert sup_diff(out, ref) <= 1e-14 * sup(ref)

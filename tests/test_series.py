@@ -171,6 +171,18 @@ def test_diamond_examples():
     assert not diamond(e2, e1).entries
 
 
+def test_diamond_beyond_float_factorial():
+    # 171! exceeds float range; sqrt(C(beta, alpha)) does not
+    e171 = series_delta(1, (171,))
+    assert diamond(e171, e171).entries == {(0,): 1}
+    mpmath = pytest.importorskip("mpmath")
+    out = diamond(e171, series_delta(1, (300,)))
+    with mpmath.workdps(40):
+        ref = float(mpmath.sqrt(mpmath.binomial(300, 171)))
+    assert set(out.entries) == {(129,)}
+    assert abs(out.entries[(129,)] - ref) <= 1e-15 * ref
+
+
 def test_diamond_adjointness():
     rng = np.random.default_rng(23)
     F1 = random_series(rng, 1, 3)

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fockcalc import symbolcalc
 from fockcalc.errors import DimensionMismatch, PreconditionError
 from fockcalc.multiindex import enumerate_degree, total_degree
 from fockcalc.series import (
@@ -164,6 +166,59 @@ def test_compose_diagonals_multiply():
     out = compose_kernels(d1, d2)
     for k in range(5):
         assert abs(out.entries[((k,), (k,))] - (2.0 + k) * (1.0 - 0.5j * k)) < 1e-14
+
+
+def compose_reference(K2, K1):
+    """Dict loop over K2's entries and the matching rows of K1."""
+    rows = {}
+    for (beta, delta), v1 in K1.entries.items():
+        rows.setdefault(beta, []).append((delta, v1))
+    out = {}
+    for (alpha, beta), v2 in K2.entries.items():
+        for delta, v1 in rows.get(beta, ()):
+            key = (alpha, delta)
+            out[key] = out.get(key, 0.0) + v2 * v1
+    return KernelCoeffs(K2.d2, K1.d1, out)
+
+
+def random_sparse_kernel(rng, d, degree, n_entries):
+    idx = enumerate_degree(d, degree)
+    return KernelCoeffs(d, d, {
+        (idx[i], idx[j]): complex(rng.standard_normal(), rng.standard_normal())
+        for i, j in rng.integers(len(idx), size=(n_entries, 2))
+    })
+
+
+@pytest.mark.parametrize("block", [16, symbolcalc.COMPOSE_BLOCK])
+def test_compose_matches_loop_reference(monkeypatch, block):
+    monkeypatch.setattr(symbolcalc, "COMPOSE_BLOCK", block)
+    rng = np.random.default_rng(31)
+    # the dense d = 3 pair has 35^3 products, more than one block of either size
+    pairs = [(random_kernel(rng, 3, 4), random_kernel(rng, 3, 4))]
+    for d, degree in ((1, 12), (2, 6), (3, 4)):
+        for n_entries in (5, 40, 300):
+            pairs.append((random_sparse_kernel(rng, d, degree, n_entries),
+                          random_sparse_kernel(rng, d, degree, n_entries)))
+    for K2, K1 in pairs:
+        out, ref = compose_kernels(K2, K1), compose_reference(K2, K1)
+        assert set(out.entries) == set(ref.entries)
+        scale = max((abs(v) for v in ref.entries.values()), default=0.0)
+        assert sup_diff(out, ref) <= 1e-14 * scale
+
+
+def test_compose_memory_grows_with_entries():
+    # 2,925 indices: a dense 2925 x 2925 complex block alone would take 137 MB
+    idx = enumerate_degree(3, 24)
+    K2 = KernelCoeffs(3, 3, {(a, a): 1.0 + total_degree(a) for a in idx})
+    K1 = KernelCoeffs(3, 3, {(a, a): 1j for a in idx})
+    tracemalloc.start()
+    try:
+        out = compose_kernels(K2, K1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.entries == {(a, a): (1.0 + total_degree(a)) * 1j for a in idx}
+    assert peak < 16 * 2 ** 20
 
 
 # --- twisted product --------------------------------------------------------------
