@@ -210,7 +210,7 @@ def multiply(F1: SeriesCoeffs, F2: SeriesCoeffs) -> SeriesCoeffs:
     for a1, v1 in F1.entries.items():
         for a2, v2 in F2.entries.items():
             alpha = index_add(a1, a2)
-            w = math.sqrt(multi_binomial(alpha, a1))
+            w = _int_sqrt(multi_binomial(alpha, a1))
             out[alpha] = out.get(alpha, 0.0) + w * v1 * v2
     return SeriesCoeffs(F1.d, out)
 

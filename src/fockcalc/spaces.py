@@ -111,29 +111,38 @@ class WeightSpec:
             raise ValueError("radius r must be positive")
 
 
+def _log_theta(order: GrowthOrder, r: float, n, log_fact):
+    """log theta_{r,order} of an index of total degree n and log(alpha!) = log_fact.
+
+    Works on scalars and on arrays alike; +inf encodes the infinite branch of
+    the zero order.
+    """
+    if order.kind == "real":
+        return r * n ** (1.0 / (2.0 * order.value))
+    if order.kind == "flat":
+        return n * math.log(r) + log_fact / (2.0 * order.value)
+    if order.kind == "inf":
+        return 0.5 * r * np.log1p(n * n)
+    # zero order: indicator of |alpha| <= r (finite at equality)
+    return np.where(n <= r, 0.0, math.inf)
+
+
 def log_theta_weight(w: WeightSpec, alpha: Sequence[int]) -> float:
     """log of the index weight; +inf encodes the infinite branch of the zero order."""
-    n = total_degree(alpha)
-    order, r = w.order, w.r
-    if order.kind == "real":
-        return r * n ** (1.0 / (2.0 * order.value)) if n else 0.0
-    if order.kind == "flat":
-        return n * math.log(r) + log_multi_factorial(alpha) / (2.0 * order.value)
-    if order.kind == "inf":
-        return 0.5 * r * math.log1p(n * n)
-    # zero order: indicator of |alpha| <= r (finite at equality)
-    return 0.0 if n <= r else math.inf
+    return float(_log_theta(w.order, w.r, total_degree(alpha), log_multi_factorial(alpha)))
+
+
+def _exp(x: float) -> float:
+    """exp(x), or +inf where it leaves float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def theta_weight(w: WeightSpec, alpha: Sequence[int]) -> float:
     """Index weight value; may overflow to +inf for extreme parameters by design."""
-    lw = log_theta_weight(w, alpha)
-    if lw == math.inf:
-        return math.inf
-    try:
-        return math.exp(lw)
-    except OverflowError:
-        return math.inf
+    return _exp(log_theta_weight(w, alpha))
 
 
 def log_omega_weight(
@@ -151,8 +160,8 @@ def omega_weight(
     s1: GrowthOrder, s2: GrowthOrder, r1: float, r2: float,
     alpha2: Sequence[int], alpha1: Sequence[int],
 ) -> float:
-    """Quotient weight theta_{r2,s2}(alpha2) / theta_{r1,s1}(alpha1)."""
-    return math.exp(log_omega_weight(s1, s2, r1, r2, alpha2, alpha1))
+    """Quotient weight theta_{r2,s2}(alpha2) / theta_{r1,s1}(alpha1); +inf past float range."""
+    return _exp(log_omega_weight(s1, s2, r1, r2, alpha2, alpha1))
 
 
 def kappa_weight(kind: int, zero_variant: bool, r: float, s: GrowthOrder, z) -> float:
@@ -213,6 +222,18 @@ def _log_weight_fn(weight) -> Callable:
     raise TypeError("weight must be a WeightSpec or a callable on index keys")
 
 
+def _log_norm(logs, p: float) -> float:
+    """log of the l^p norm of exp(logs); p = inf gives the max, no entries -inf.
+
+    Entries of -inf add nothing and an entry of +inf makes the norm +inf.
+    """
+    logs = np.asarray(logs, dtype=float)
+    m = float(np.maximum.reduce(logs, initial=-math.inf))
+    if p == math.inf or math.isinf(m):
+        return m
+    return m + math.log(float(np.add.reduce(np.exp(p * (logs - m))))) / p
+
+
 def weighted_norm(c: Union[SeriesCoeffs, KernelCoeffs], weight, p: float) -> float:
     """l^p norm of the weighted entries; p = inf gives the weighted sup.
 
@@ -229,14 +250,7 @@ def weighted_norm(c: Union[SeriesCoeffs, KernelCoeffs], weight, p: float) -> flo
         if math.isinf(lw):
             raise DomainError(f"infinite weight on support at {key}")
         logs.append(math.log(abs(v)) + lw)
-    if not logs:
-        return 0.0
-    m = max(logs)
-    if p == math.inf:
-        return math.exp(m) if m < 700 else math.inf
-    s = sum(math.exp(p * (x - m)) for x in logs)
-    lognorm = m + math.log(s) / p
-    return math.exp(lognorm) if lognorm < 700 else math.inf
+    return _exp(_log_norm(logs, p))
 
 
 # ---------------------------------------------------------------------------
@@ -322,44 +336,24 @@ class DiagnosticReport:
         return rows
 
 
-def _degree_profile(c: KernelCoeffs, log_w: Callable, p: float) -> Tuple[Dict[int, float], float]:
+def _log_factorials(idx: np.ndarray) -> np.ndarray:
+    """log(alpha!) of each row of an index array, one lgamma per distinct component."""
+    vals, inv = np.unique(idx, return_inverse=True)
+    return np.array([math.lgamma(v + 1.0) for v in vals.tolist()])[inv].reshape(idx.shape).sum(axis=1)
+
+
+def _degree_profile(logs: np.ndarray, groups: List[Tuple[int, slice]], p: float) -> Tuple[Dict[int, float], float]:
     """Per-total-degree log masses and the overall fitted log constant.
 
-    A log weight of -inf means the entry is annihilated (weight zero) and is
-    skipped; +inf means an infinite weighted entry and poisons the constant.
+    ``logs`` holds log|c| plus the log weight of every entry, sorted by total
+    degree, and ``groups`` pairs each degree with its slice.  A log weight of
+    -inf means the entry is annihilated (weight zero): it adds nothing, and a
+    degree left without entries has no mass.  +inf means an infinite
+    weighted entry and poisons the constant.
     """
-    per_degree: Dict[int, List[float]] = {}
-    poisoned = False
-    for (alpha, beta), v in c.entries.items():
-        lw = log_w((alpha, beta))
-        if lw == -math.inf:
-            continue
-        if lw == math.inf:
-            poisoned = True
-            per_degree.setdefault(total_degree(alpha) + total_degree(beta), []).append(math.inf)
-            continue
-        per_degree.setdefault(total_degree(alpha) + total_degree(beta),
-                              []).append(math.log(abs(v)) + lw)
-    masses: Dict[int, float] = {}
-    for n, logs in per_degree.items():
-        m = max(logs)
-        if m == math.inf:
-            masses[n] = math.inf
-        elif p == math.inf:
-            masses[n] = m
-        else:
-            masses[n] = m + math.log(sum(math.exp(p * (x - m)) for x in logs)) / p
-    finite = [x for x in masses.values() if math.isfinite(x)]
-    if poisoned:
-        overall = math.inf
-    elif not finite:
-        overall = -math.inf
-    elif p == math.inf:
-        overall = max(finite)
-    else:
-        m = max(finite)
-        overall = m + math.log(sum(math.exp(p * (x - m)) for x in finite)) / p
-    return masses, overall
+    masses = {n: _log_norm(logs[sl], p) for n, sl in groups}
+    masses = {n: m for n, m in masses.items() if m > -math.inf}
+    return masses, _log_norm(list(masses.values()), p)
 
 
 def _is_divergent(masses: Dict[int, float]) -> bool:
@@ -402,55 +396,41 @@ def classify(c: KernelCoeffs, space: SpaceSpec, r_grid: Sequence[float]) -> Diag
     # infinite-order endpoints carry the fixed p = 2 convention
     p = 2.0 if (s1.kind == "inf" or s2.kind == "inf") else math.inf
 
-    def log_w_single(r: float) -> Callable:
-        def lw(key):
-            a2, a1 = key
-            v = log_theta_weight(WeightSpec(s1, r), a1) + log_theta_weight(WeightSpec(s2, r), a2)
-            return sign * v
-        return lw
+    # a weight depends on an index only through |alpha| and log(alpha!): form
+    # those once, sorted by total degree; each radius pair is then one array
+    # expression.  alpha carries s2, beta carries s1.
+    keys = list(c.entries)
+    alpha = np.array([a for a, _ in keys], dtype=float)
+    beta = np.array([b for _, b in keys], dtype=float)
+    n2, n1 = alpha.sum(axis=1), beta.sum(axis=1)
+    order = np.argsort(n2 + n1, kind="stable")
+    n2, n1 = n2[order], n1[order]
+    lf2, lf1 = _log_factorials(alpha)[order], _log_factorials(beta)[order]
+    log_c = np.log(np.abs(np.fromiter(c.entries.values(), dtype=complex, count=len(keys))))[order]
+    degrees, starts = np.unique(n2 + n1, return_index=True)
+    groups = [(int(n), slice(a, b)) for n, a, b in zip(degrees, starts, [*starts[1:], len(keys)])]
 
-    def log_w_pair(r1: float, r2: float) -> Callable:
-        def lw(key):
-            a2, a1 = key
-            num = log_theta_weight(WeightSpec(s2, r2), a2)
-            den = log_theta_weight(WeightSpec(s1, r1), a1)
-            if math.isinf(num) and math.isinf(den):
-                return math.inf       # indeterminate quotient: fail the radius loudly
-            return sign * (num - den)
-        return lw
-
+    pair = pattern not in ("exists", "forall")
+    if pair:
+        combos = {(ro, ri): (ro, ri) if outer_role == "r1" else (ri, ro) for ro in grid for ri in grid}
+    else:
+        combos = {(r,): (r, r) for r in grid}
     constants: Dict[Tuple[float, ...], float] = {}
     divergent: Dict[Tuple[float, ...], bool] = {}
+    with np.errstate(over="raise"):  # a log weight past float range raises, as in scalar code
+        for key, (r1, r2) in combos.items():
+            num, den = _log_theta(s2, r2, n2, lf2), _log_theta(s1, r1, n1, lf1)
+            both = np.isinf(num) & np.isinf(den)
+            den = np.where(both, 0.0, den)  # keeps inf - inf out of the quotient
+            lw = sign * (num - den if pair else num + den)
+            if pair:
+                lw[both] = math.inf  # indeterminate quotient: fail the radius loudly
+            masses, constants[key] = _degree_profile(log_c + lw, groups, p)
+            divergent[key] = _is_divergent(masses)
 
-    if pattern in ("exists", "forall"):
-        combos = [(r,) for r in grid]
-        for (r,) in combos:
-            masses, overall = _degree_profile(c, log_w_single(r), p)
-            constants[(r,)] = overall
-            divergent[(r,)] = _is_divergent(masses)
-    else:
-        combos = []
-        for ro in grid:
-            for ri in grid:
-                r1, r2 = (ro, ri) if outer_role == "r1" else (ri, ro)
-                key = (ro, ri)
-                combos.append(key)
-                masses, overall = _degree_profile(c, log_w_pair(r1, r2), p)
-                constants[key] = overall
-                divergent[key] = _is_divergent(masses)
-
-    fitted: Dict[Tuple[float, ...], float] = {}
-    for k, v in constants.items():
-        if math.isinf(v):
-            fitted[k] = math.inf if v > 0 else 0.0
-        else:
-            fitted[k] = math.exp(v) if v < 700 else math.inf
+    fitted = {k: _exp(v) for k, v in constants.items()}
     finite_vals = [v for v in fitted.values() if math.isfinite(v)]
-    if finite_vals:
-        med = float(np.median(finite_vals))
-    else:
-        med = math.inf
-    threshold = 10.0 * med if math.isfinite(med) else math.inf
+    threshold = 10.0 * float(np.median(finite_vals)) if finite_vals else math.inf
 
     def within_cap(key: Tuple[float, ...]) -> bool:
         return fitted[key] <= threshold
@@ -461,20 +441,15 @@ def classify(c: KernelCoeffs, space: SpaceSpec, r_grid: Sequence[float]) -> Diag
     # reported inner radii use the constant cap alone; the verdict additionally
     # vetoes radius combinations whose degree trend diverges
     minimal_inner: Dict[float, float | None] = {}
+    if pair:
+        minimal_inner = {ro: min((ri for ri in grid if within_cap((ro, ri))), default=None) for ro in grid}
     if pattern == "exists":
         consistent = any(passes(k) for k in constants)
     elif pattern == "forall":
         consistent = all(passes(k) for k in constants)
     elif pattern == "forall-exists":
-        consistent = True
-        for ro in grid:
-            inner = [ri for ri in grid if within_cap((ro, ri))]
-            minimal_inner[ro] = min(inner) if inner else None
-            consistent = consistent and any(passes((ro, ri)) for ri in grid)
+        consistent = all(any(passes((ro, ri)) for ri in grid) for ro in grid)
     else:  # exists-forall
-        for ro in grid:
-            inner = [ri for ri in grid if within_cap((ro, ri))]
-            minimal_inner[ro] = min(inner) if inner else None
         consistent = any(all(passes((ro, ri)) for ri in grid) for ro in grid)
 
     if consistent:

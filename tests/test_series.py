@@ -114,6 +114,17 @@ def test_multiply_matches_pointwise_products():
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
+def test_multiply_beyond_float_binomial():
+    # C(1200, 600) ~ 4e359 exceeds float range; its square root does not
+    e600 = series_delta(1, (600,))
+    out = multiply(e600, e600)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        ref = float(mpmath.sqrt(mpmath.binomial(1200, 600)))
+    assert set(out.entries) == {(1200,)}
+    assert abs(out.entries[(1200,)] - ref) <= 1e-15 * ref
+
+
 def test_a2_inner_orthonormality():
     for a in enumerate_degree(2, 3):
         for b in enumerate_degree(2, 3):

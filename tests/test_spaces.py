@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 
 from fockcalc.errors import DomainError, PreconditionError
+from fockcalc.multiindex import enumerate_degree, log_multi_factorial, total_degree
 from fockcalc.series import KernelCoeffs, SeriesCoeffs, eval_kernel, kernel_delta, series_delta
 from fockcalc.spaces import (
+    _FAMILIES,
+    DiagnosticReport,
     GrowthOrder,
     SpaceSpec,
     WeightSpec,
     classify,
     kappa_weight,
+    _is_divergent,
     omega_weight,
     theta_weight,
     verify_pointwise_bound,
@@ -227,6 +231,211 @@ def test_classify_report_serialization():
     rows = rep.csv_rows()
     assert rows[0] == "r,constant"
     assert len(rows) == len(GRID) + 1
+
+
+def test_weighted_norm_near_float_max():
+    # log|c| = 704.6 lies past the old exp cut-off at 700 but inside float range
+    F = series_delta(1, (0,), 1e306)
+    for p in (2, math.inf):
+        assert abs(weighted_norm(F, lambda k: 1.0, p) / 1e306 - 1.0) < 1e-13
+
+
+def test_classify_constant_near_float_max():
+    space = SpaceSpec("A", GO.flat(1), GO.flat(1))
+    rep = classify(kernel_delta(1, (0,), (0,), 1e306), space, [1.0])
+    assert abs(rep.fitted_constants[(1.0,)] / 1e306 - 1.0) < 1e-13
+    assert rep.to_jsonable()["constants"][0]["constant"] is not None
+    assert rep.verdict == "Consistent"
+
+
+def test_omega_weight_overflow_is_inf():
+    # log omega = log(200!) = 863.2, beyond float range like theta_weight's
+    assert omega_weight(GO.flat(0.5), GO.flat(0.5), 1.0, 1.0, (200,), (0,)) == math.inf
+    assert theta_weight(WeightSpec(GO.flat(0.5), 1.0), (200,)) == math.inf
+
+
+def test_classify_log_weight_overflow_raises():
+    # 64 ** 500 leaves float range in the log weight itself, as it did in the
+    # scalar code; the CLI maps the ArithmeticError to exit code 4
+    c = kernel_delta(1, (64,), (0,))
+    space = SpaceSpec("A", GO.real(0.001), GO.real(0.001))
+    with pytest.raises(ArithmeticError):
+        classify(c, space, GRID)
+    with pytest.raises(ArithmeticError):
+        classify_reference(c, space, GRID)
+
+
+# --- classify against the per-entry reference ------------------------------------
+
+def log_theta_reference(order, r, alpha):
+    n = total_degree(alpha)
+    if order.kind == "real":
+        return r * n ** (1.0 / (2.0 * order.value)) if n else 0.0
+    if order.kind == "flat":
+        return n * math.log(r) + log_multi_factorial(alpha) / (2.0 * order.value)
+    if order.kind == "inf":
+        return 0.5 * r * math.log1p(n * n)
+    return 0.0 if n <= r else math.inf
+
+
+def degree_profile_reference(c, log_w, p):
+    """Per-entry loop: per-degree log masses and the overall log constant."""
+    per_degree = {}
+    poisoned = False
+    for (alpha, beta), v in c.entries.items():
+        lw = log_w((alpha, beta))
+        if lw == -math.inf:
+            continue
+        if lw == math.inf:
+            poisoned = True
+            per_degree.setdefault(total_degree(alpha) + total_degree(beta), []).append(math.inf)
+            continue
+        per_degree.setdefault(total_degree(alpha) + total_degree(beta),
+                              []).append(math.log(abs(v)) + lw)
+    masses = {}
+    for n, logs in per_degree.items():
+        m = max(logs)
+        if m == math.inf:
+            masses[n] = math.inf
+        elif p == math.inf:
+            masses[n] = m
+        else:
+            masses[n] = m + math.log(sum(math.exp(p * (x - m)) for x in logs)) / p
+    finite = [x for x in masses.values() if math.isfinite(x)]
+    if poisoned:
+        overall = math.inf
+    elif not finite:
+        overall = -math.inf
+    elif p == math.inf:
+        overall = max(finite)
+    else:
+        m = max(finite)
+        overall = m + math.log(sum(math.exp(p * (x - m)) for x in finite)) / p
+    return masses, overall
+
+
+def classify_reference(c, space, r_grid):
+    """classify with per-entry weight closures, one scalar log weight per entry."""
+    grid = sorted(float(r) for r in r_grid)
+    truncation = c.support_degree()
+    if not c.entries:
+        return DiagnosticReport(space, truncation, grid, {}, "Consistent")
+    pattern, outer_role, sign = _FAMILIES[space.family]
+    s1, s2 = space.s1, space.s2
+    p = 2.0 if (s1.kind == "inf" or s2.kind == "inf") else math.inf
+
+    def log_w_single(r):
+        def lw(key):
+            a2, a1 = key
+            return sign * (log_theta_reference(s1, r, a1) + log_theta_reference(s2, r, a2))
+        return lw
+
+    def log_w_pair(r1, r2):
+        def lw(key):
+            a2, a1 = key
+            num = log_theta_reference(s2, r2, a2)
+            den = log_theta_reference(s1, r1, a1)
+            if math.isinf(num) and math.isinf(den):
+                return math.inf
+            return sign * (num - den)
+        return lw
+
+    constants, divergent = {}, {}
+    if pattern in ("exists", "forall"):
+        for r in grid:
+            masses, constants[(r,)] = degree_profile_reference(c, log_w_single(r), p)
+            divergent[(r,)] = _is_divergent(masses)
+    else:
+        for ro in grid:
+            for ri in grid:
+                r1, r2 = (ro, ri) if outer_role == "r1" else (ri, ro)
+                masses, constants[(ro, ri)] = degree_profile_reference(c, log_w_pair(r1, r2), p)
+                divergent[(ro, ri)] = _is_divergent(masses)
+
+    fitted = {}
+    for k, v in constants.items():
+        if math.isinf(v):
+            fitted[k] = math.inf if v > 0 else 0.0
+        else:
+            fitted[k] = math.exp(v) if v < 700 else math.inf
+    finite_vals = [v for v in fitted.values() if math.isfinite(v)]
+    med = float(np.median(finite_vals)) if finite_vals else math.inf
+    threshold = 10.0 * med if math.isfinite(med) else math.inf
+
+    def within_cap(key):
+        return fitted[key] <= threshold
+
+    def passes(key):
+        return (not divergent[key]) and within_cap(key)
+
+    minimal_inner = {}
+    if pattern == "exists":
+        consistent = any(passes(k) for k in constants)
+    elif pattern == "forall":
+        consistent = all(passes(k) for k in constants)
+    elif pattern == "forall-exists":
+        consistent = True
+        for ro in grid:
+            inner = [ri for ri in grid if within_cap((ro, ri))]
+            minimal_inner[ro] = min(inner) if inner else None
+            consistent = consistent and any(passes((ro, ri)) for ri in grid)
+    else:
+        for ro in grid:
+            inner = [ri for ri in grid if within_cap((ro, ri))]
+            minimal_inner[ro] = min(inner) if inner else None
+        consistent = any(all(passes((ro, ri)) for ri in grid) for ro in grid)
+    if consistent:
+        verdict = "Consistent"
+    elif all(divergent.values()):
+        verdict = "Inconsistent"
+    else:
+        verdict = "Indeterminate"
+    return DiagnosticReport(space, truncation, grid, fitted, verdict, minimal_inner)
+
+
+REFERENCE_ORDERS = [GO.zero(), GO.infinity(), GO.real(0.25), GO.real(1), GO.flat(1)]
+
+
+def random_growth_kernel(rng, d, degree, n_entries):
+    """Sparse kernel whose entry sizes grow or decay with degree at a random rate."""
+    idx = enumerate_degree(d, degree)
+    rate = rng.uniform(-1.5, 1.5)
+    entries = {}
+    for i, j in rng.integers(len(idx), size=(n_entries, 2)):
+        k = total_degree(idx[i]) + total_degree(idx[j])
+        entries[(idx[i], idx[j])] = math.exp(rate * k + rng.normal()) * np.exp(2j * math.pi * rng.uniform())
+    return KernelCoeffs(d, d, entries)
+
+
+def test_classify_matches_per_entry_reference():
+    rng = np.random.default_rng(5)
+    kernels = [random_growth_kernel(rng, 1, 10, 12), random_growth_kernel(rng, 2, 6, 30),
+               random_growth_kernel(rng, 1, 16, 6), random_growth_kernel(rng, 2, 8, 60)]
+    grid = [0.5, 1.0, 2.0, 4.0]
+    cases = 0
+    verdicts = set()
+    for c in kernels:
+        for family in _FAMILIES:
+            for s1 in REFERENCE_ORDERS:
+                for s2 in REFERENCE_ORDERS:
+                    try:
+                        space = SpaceSpec(family, s1, s2)
+                    except PreconditionError:
+                        continue   # families that need positive orders
+                    got, ref = classify(c, space, grid), classify_reference(c, space, grid)
+                    assert got.verdict == ref.verdict, space.label()
+                    assert got.minimal_inner == ref.minimal_inner, space.label()
+                    assert got.fitted_constants.keys() == ref.fitted_constants.keys()
+                    for key, want in ref.fitted_constants.items():
+                        have = got.fitted_constants[key]
+                        if math.isfinite(want) and want > 0:
+                            assert abs(have - want) <= 1e-13 * want, (space.label(), key)
+                        else:
+                            assert have == want, (space.label(), key)
+                    verdicts.add(got.verdict)
+                    cases += 1
+    assert cases == 4 * (6 * 25 + 6 * 16)
+    assert verdicts == {"Consistent", "Inconsistent", "Indeterminate"}
 
 
 # --- pointwise bounds ----------------------------------------------------------
