@@ -16,26 +16,22 @@ packed into int64 words (more than one word when the index range needs
 it).  Real and imaginary parts are multiplied and summed separately, each
 key's copies in the order of a loop over entries and steps: a
 one-dimensional transition adds its terms in the order that loop would.
-Dicts are converted to arrays and back only at the container boundary.
+A value past float range raises OverflowError in ``KernelCoeffs._from_arrays``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from itertools import chain
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 
-from .multiindex import MultiIndex, total_degree
-from .series import KernelCoeffs
+from .series import KernelCoeffs, _pack
 
 DEFAULT_EXTENSION = 8
 
-_I_POWERS = (1.0, 1j, -1.0, -1j)
-
-_INT64_SPAN = 2 ** 63
+_I_POWERS = np.array((1.0, 1j, -1.0, -1j))
 
 # copies formed at once by one sweep pass (one line alone may take more)
 SWEEP_BLOCK = 1 << 13
@@ -80,28 +76,7 @@ def _round_up(n: int) -> int:
     return -(-n // 16) * 16
 
 
-def _pack(cols: np.ndarray, radix: int) -> tuple[List[np.ndarray], List[tuple[int, int]]]:
-    """Pack the columns of a non-negative int array (each < radix) into int64 words.
-
-    As many columns as fit below 2^63 share a word, the first most significant,
-    so the words compare like the column tuples.  Returns the words and, per
-    column, (word, multiplier).
-    """
-    n_cols = cols.shape[1]
-    per_word = 1
-    while per_word < n_cols and radix ** (per_word + 1) <= _INT64_SPAN:
-        per_word += 1
-    place = []
-    for c in range(n_cols):
-        w, pos = divmod(c, per_word)
-        width = min(per_word, n_cols - w * per_word)
-        place.append((w, radix ** (width - 1 - pos)))
-    words = [np.zeros(cols.shape[0], dtype=np.int64) for _ in range(-(-n_cols // per_word))]
-    for c, (w, mult) in enumerate(place):
-        words[w] += cols[:, c] * mult
-    return words, place
-
-
+@np.errstate(over="ignore", invalid="ignore")  # values past float range are caught on output
 def _sweep(c: KernelCoeffs, t: complex, out_degree: int | None) -> KernelCoeffs:
     """Apply exp(t R_j), or its adjoint when out_degree is None, on each axis j in turn.
 
@@ -118,15 +93,12 @@ def _sweep(c: KernelCoeffs, t: complex, out_degree: int | None) -> KernelCoeffs:
     and sums them into slots (line, min(a_j, b_j)).
     """
     d = c.d
-    if not c.entries:
+    if not len(c):
         return KernelCoeffs(d, d)
     raising = out_degree is not None
     tp = _powers(t, out_degree if raising else c.support_degree())
     g_max = len(tp) - 1
-    n = len(c.entries)
-    keys = np.fromiter(chain.from_iterable(a + b for a, b in c.entries), dtype=np.int64,
-                       count=2 * d * n).reshape(n, 2 * d)
-    values = np.fromiter(c.entries.values(), dtype=complex, count=n)
+    keys, values = c.arrays()
     re, im = values.real, values.imag
     k_max = int(keys.max())
     # components never pass out_degree when raising and never rise when lowering
@@ -135,7 +107,6 @@ def _sweep(c: KernelCoeffs, t: complex, out_degree: int | None) -> KernelCoeffs:
     words, place = _pack(keys, radix)
     deg = np.maximum(keys[:, :d].sum(axis=1), keys[:, d:].sum(axis=1))  # max(|a|, |b|)
     reach = out_degree - int(deg.min()) if raising else k_max
-    del keys
     # C(k+g, g) with k the lower end of the step: the input index when raising,
     # the output index when lowering; either way k <= k_max
     table = _binomials(_round_up(k_max + 1), _round_up(min(g_max, max(reach, 0)) + 1))
@@ -158,10 +129,9 @@ def _sweep(c: KernelCoeffs, t: complex, out_degree: int | None) -> KernelCoeffs:
         aj, bj, low, re, im, deg = (x[order] for x in (aj, bj, low, re, im, deg))
         counts = np.minimum(out_degree - deg if raising else low, g_max) + 1
         np.maximum(counts, 0, out=counts)
-        new = np.empty(len(order), dtype=bool)
+        new = np.zeros(len(order), dtype=bool)
         new[0] = True
-        np.not_equal(line[0][1:], line[0][:-1], out=new[1:])
-        for w in line[1:]:
+        for w in line:
             new[1:] |= w[1:] != w[:-1]
         line_id = new.cumsum() - 1
         starts = np.concatenate((new.nonzero()[0], [len(order)]))
@@ -204,14 +174,10 @@ def _sweep(c: KernelCoeffs, t: complex, out_degree: int | None) -> KernelCoeffs:
             i = k
         words = [np.concatenate(out) for out in out_words]
         re, im, deg = np.concatenate(out_re), np.concatenate(out_im), np.concatenate(out_deg)
-    cols = [(words[w] // mult % radix).tolist() for w, mult in place]
     values = np.empty(len(re), dtype=complex)
     values.real, values.imag = re, im
-    # one tuple object per distinct multi-index, shared by every key that holds it
-    shared: Dict[MultiIndex, MultiIndex] = {}
-    alphas = [shared.setdefault(a, a) for a in zip(*cols[:d])]
-    betas = [shared.setdefault(b, b) for b in zip(*cols[d:])]
-    return KernelCoeffs(d, d, dict(zip(zip(alphas, betas), values.tolist())))
+    index = np.stack([words[w] // mult % radix for w, mult in place], axis=1)
+    return KernelCoeffs._from_arrays(d, d, index, values)
 
 
 def t0(c: KernelCoeffs, t: complex, out_degree: int | None = None) -> KernelCoeffs:
@@ -238,10 +204,8 @@ def t0_star(c: KernelCoeffs, t: complex) -> KernelCoeffs:
 
 def _phase(c: KernelCoeffs, quarter_turns: int) -> KernelCoeffs:
     d = c.d
-    return KernelCoeffs(d, d, {
-        k: _I_POWERS[quarter_turns * (total_degree(k[0]) + total_degree(k[1])) % 4] * v
-        for k, v in c.entries.items()
-    })
+    index, values = c.arrays()
+    return KernelCoeffs._from_arrays(d, d, index, _I_POWERS[quarter_turns * index.sum(axis=1) % 4] * values)
 
 
 def s0(c: KernelCoeffs) -> KernelCoeffs:
@@ -255,10 +219,10 @@ def s0_inv(c: KernelCoeffs) -> KernelCoeffs:
 
 
 def l2_r_norm(c: KernelCoeffs, r: float) -> float:
-    """Geometric-weight l^2 norm: (sum |c(a,b)|^2 r^(-(|a|+|b|)))^(1/2)."""
+    """Geometric-weight l^2 norm: (sum |c(a,b)|^2 r^(-(|a|+|b|)))^(1/2); +inf past float range."""
     if not (r > 0):
         raise ValueError("r must be positive")
-    total = 0.0
-    for (a, b), v in c.entries.items():
-        total += abs(v) ** 2 * r ** (-(total_degree(a) + total_degree(b)))
-    return math.sqrt(total)
+    index, values = c.arrays()
+    with np.errstate(over="ignore"):
+        scaled = np.abs(values) * r ** (-0.5 * index.sum(axis=1))
+    return math.hypot(*scaled.tolist())

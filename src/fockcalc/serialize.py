@@ -16,17 +16,15 @@ deterministic and round trips byte-identically.
 from __future__ import annotations
 
 import json
+import sys
 from typing import Union
 
+import numpy as np
+
 from .errors import SchemaError
-from .multiindex import total_degree
 from .series import KernelCoeffs, SeriesCoeffs
 
 Coeffs = Union[SeriesCoeffs, KernelCoeffs]
-
-
-def _canon_float(x: float) -> float:
-    return 0.0 if x == 0 else float(x)
 
 
 def _check_index(raw, d: int, max_degree: int, what: str) -> tuple:
@@ -64,65 +62,47 @@ def coeffs_from_jsonable(doc) -> Coeffs:
 
     def value_of(rec) -> complex:
         re, im = rec.get("re", 0.0), rec.get("im", 0.0)
-        if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
-            raise SchemaError("entry fields 're'/'im' must be numbers")
+        # JSON numbers only (bool is not one); the comparison rejects NaN, infinities
+        # and integers past float range
+        if type(re) not in (int, float) or type(im) not in (int, float) or not (
+                abs(re) <= sys.float_info.max and abs(im) <= sys.float_info.max):
+            raise SchemaError(f"entry fields 're'/'im' must be finite numbers, got {re!r}, {im!r}")
         return complex(re, im)
 
-    if kind == "series":
-        d = _get_dim(doc, "d")
-        entries = {}
-        for rec in raw_entries:
-            if not isinstance(rec, dict):
-                raise SchemaError("entries must be objects")
-            alpha = _check_index(rec.get("alpha"), d, max_degree, "alpha")
-            if alpha in entries:
-                raise SchemaError(f"duplicate index {alpha}")
-            entries[alpha] = value_of(rec)
-        return SeriesCoeffs(d, entries)
-
-    d2 = _get_dim(doc, "d2")
-    d1 = _get_dim(doc, "d1")
+    dims = (_get_dim(doc, "d"),) if kind == "series" else (_get_dim(doc, "d2"), _get_dim(doc, "d1"))
     entries = {}
     for rec in raw_entries:
         if not isinstance(rec, dict):
             raise SchemaError("entries must be objects")
-        alpha = _check_index(rec.get("alpha"), d2, max_degree, "alpha")
-        beta = _check_index(rec.get("beta"), d1, max_degree, "beta")
-        if (alpha, beta) in entries:
-            raise SchemaError(f"duplicate index ({alpha}, {beta})")
-        entries[(alpha, beta)] = value_of(rec)
-    return KernelCoeffs(d2, d1, entries)
+        key = _check_index(rec.get("alpha"), dims[0], max_degree, "alpha")
+        if kind == "kernel":
+            key = (key, _check_index(rec.get("beta"), dims[1], max_degree, "beta"))
+        if key in entries:
+            raise SchemaError(f"duplicate index {key}")
+        entries[key] = value_of(rec)
+    return SeriesCoeffs(*dims, entries) if kind == "series" else KernelCoeffs(*dims, entries)
 
 
 def coeffs_to_jsonable(c: Coeffs) -> dict:
     if isinstance(c, SeriesCoeffs):
-        keys = sorted(c.entries, key=lambda a: (total_degree(a), a))
-        return {
-            "kind": "series",
-            "d": c.d,
-            "max_degree": c.support_degree(),
-            "entries": [
-                {"alpha": list(a),
-                 "re": _canon_float(c.entries[a].real),
-                 "im": _canon_float(c.entries[a].imag)}
-                for a in keys
-            ],
-        }
-    if isinstance(c, KernelCoeffs):
-        keys = sorted(c.entries, key=lambda k: (total_degree(k[0]), k[0], total_degree(k[1]), k[1]))
-        return {
-            "kind": "kernel",
-            "d2": c.d2,
-            "d1": c.d1,
-            "max_degree": c.support_degree(),
-            "entries": [
-                {"alpha": list(a), "beta": list(b),
-                 "re": _canon_float(c.entries[(a, b)].real),
-                 "im": _canon_float(c.entries[(a, b)].imag)}
-                for a, b in keys
-            ],
-        }
-    raise TypeError(f"cannot serialize {type(c)!r}")
+        head, split = {"kind": "series", "d": c.d}, c.d
+    elif isinstance(c, KernelCoeffs):
+        head, split = {"kind": "kernel", "d2": c.d2, "d1": c.d1}, c.d2
+    else:
+        raise TypeError(f"cannot serialize {type(c)!r}")
+    index, values = c.arrays()
+    # canonical order: (|alpha|, alpha, |beta|, beta); a series has no beta columns
+    parts = [p for p in (index[:, :split], index[:, split:]) if p.shape[1]]
+    order = np.lexsort([k for p in parts for k in (p.sum(axis=1), *p.T)][::-1])
+    alphas = parts[0][order].tolist()
+    # -0.0 is written as 0.0
+    re, im = (np.where(x == 0, 0.0, x).tolist() for x in (values.real[order], values.imag[order]))
+    if len(parts) == 1:
+        entries = [{"alpha": a, "re": x, "im": y} for a, x, y in zip(alphas, re, im)]
+    else:
+        betas = parts[1][order].tolist()
+        entries = [{"alpha": a, "beta": b, "re": x, "im": y} for a, b, x, y in zip(alphas, betas, re, im)]
+    return {**head, "max_degree": c.support_degree(), "entries": entries}
 
 
 def load_coeffs(path: str) -> Coeffs:

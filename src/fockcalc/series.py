@@ -3,15 +3,18 @@
 Power series are stored against the normalized monomial basis
 ``e_alpha(z) = z^alpha / sqrt(alpha!)``; kernels are stored against
 ``e_alpha(z) e_beta(conj(w))``, i.e. analytic in the first argument and
-conjugate-analytic in the second.  Containers are sparse maps and are
-treated as immutable after construction.
+conjugate-analytic in the second.  Containers are immutable sparse maps, held
+as a dict or as arrays; only this module converts between the two.  Public
+constructors validate every entry; engines read ``arrays()`` and return
+``KernelCoeffs._from_arrays``.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import Dict, Iterable, Tuple
+from itertools import chain
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -21,7 +24,6 @@ from .multiindex import (
     index_add,
     multi_binomial,
     multi_factorial,
-    total_degree,
     validate_index,
 )
 
@@ -30,11 +32,85 @@ KernelKey = Tuple[MultiIndex, MultiIndex]
 LADDER_MULTIPLY = "multiply"
 LADDER_DIFFERENTIATE = "differentiate"
 
+_INT64_SPAN = 2 ** 63
 
-class SeriesCoeffs:
+
+def _pack(cols: np.ndarray, radix: int) -> tuple[List[np.ndarray], List[tuple[int, int]]]:
+    """Pack the columns of a non-negative int array (each < radix) into int64 words.
+
+    As many columns as fit below 2^63 share a word, the first most significant,
+    so the words compare like the column tuples.  Returns the words and, per
+    column, (word, multiplier).
+    """
+    n_cols = cols.shape[1]
+    per_word = 1
+    while per_word < n_cols and radix ** (per_word + 1) <= _INT64_SPAN:
+        per_word += 1
+    place = []
+    for c in range(n_cols):
+        w, pos = divmod(c, per_word)
+        width = min(per_word, n_cols - w * per_word)
+        place.append((w, radix ** (width - 1 - pos)))
+    words = [np.zeros(cols.shape[0], dtype=np.int64) for _ in range(-(-n_cols // per_word))]
+    for c, (w, mult) in enumerate(place):
+        words[w] += cols[:, c] * mult
+    return words, place
+
+
+class _Coeffs:
+    """Storage shared by both containers: the validated dict, arrays (index, values)
+    with one int64 row of key components per entry, or both.  The missing form
+    is built on first use and kept.  ``_DIMS`` names the dimension of each
+    multi-index of a key.
+    """
+
+    __slots__ = ("_entries", "_index", "_values")
+
+    def _spans(self) -> List[slice]:
+        """The columns of ``index`` that hold each multi-index of a key."""
+        dims = [getattr(self, name) for name in self._DIMS]
+        return [slice(sum(dims[:i]), sum(dims[:i + 1])) for i in range(len(dims))]
+
+    @property
+    def entries(self) -> Dict:
+        """The map as a dict of Python ints and complex, one tuple per distinct multi-index."""
+        if self._entries is None:
+            cols = self._index.T.tolist()
+            shared: Dict[MultiIndex, MultiIndex] = {}
+            parts = [[shared.setdefault(k, k) for k in zip(*cols[s])] for s in self._spans()]
+            keys = zip(*parts) if len(parts) > 1 else parts[0]
+            self._entries = dict(zip(keys, self._values.tolist()))
+        return self._entries
+
+    def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The map as arrays (index, values), in the order of ``entries``; do not write to them."""
+        if self._index is None:
+            spans, n = self._spans(), len(self._entries)
+            flat = chain.from_iterable(self._entries)
+            if len(spans) > 1:
+                flat = chain.from_iterable(flat)
+            self._index = np.fromiter(flat, np.int64, count=n * spans[-1].stop).reshape(n, spans[-1].stop)
+            self._values = np.fromiter(self._entries.values(), complex, count=n)
+        return self._index, self._values
+
+    def support_degree(self) -> int:
+        """Largest total degree of a multi-index in the support (0 when empty)."""
+        index, _ = self.arrays()
+        return max(int(index[:, s].sum(axis=1).max()) for s in self._spans()) if len(index) else 0
+
+    def __len__(self) -> int:
+        return len(self._entries) if self._entries is not None else len(self._values)
+
+    def __repr__(self) -> str:
+        dims = ", ".join(f"{name}={getattr(self, name)}" for name in self._DIMS)
+        return f"{type(self).__name__}({dims}, {len(self)} entries)"
+
+
+class SeriesCoeffs(_Coeffs):
     """Finitely supported map alpha -> complex, representing sum c(alpha) e_alpha."""
 
-    __slots__ = ("d", "entries")
+    __slots__ = ("d",)
+    _DIMS = ("d",)
 
     def __init__(self, d: int, entries: Dict[MultiIndex, complex] | None = None):
         if d < 1:
@@ -50,25 +126,10 @@ class SeriesCoeffs:
                 raise ValueError(f"non-finite coefficient at {idx}")
             if cv != 0:
                 clean[idx] = cv
-        self.entries = clean
-
-    def support_degree(self) -> int:
-        """Largest total degree in the support (0 for the zero series)."""
-        if not self.entries:
-            return 0
-        return max(total_degree(a) for a in self.entries)
-
-    def copy(self) -> "SeriesCoeffs":
-        return SeriesCoeffs(self.d, dict(self.entries))
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __repr__(self) -> str:
-        return f"SeriesCoeffs(d={self.d}, {len(self.entries)} entries)"
+        self._entries, self._index = clean, None
 
 
-class KernelCoeffs:
+class KernelCoeffs(_Coeffs):
     """Finitely supported map (alpha, beta) -> complex.
 
     Represents sum c(alpha, beta) e_alpha(z) e_beta(conj(w)) with alpha of
@@ -77,7 +138,8 @@ class KernelCoeffs:
     symbol or an anti-Wick symbol.
     """
 
-    __slots__ = ("d2", "d1", "entries")
+    __slots__ = ("d2", "d1")
+    _DIMS = ("d2", "d1")
 
     def __init__(self, d2: int, d1: int, entries: Dict[KernelKey, complex] | None = None):
         if d2 < 1 or d1 < 1:
@@ -97,7 +159,21 @@ class KernelCoeffs:
                 raise ValueError(f"non-finite coefficient at ({a}, {b})")
             if cv != 0:
                 clean[(a, b)] = cv
-        self.entries = clean
+        self._entries, self._index = clean, None
+
+    @classmethod
+    def _from_arrays(cls, d2: int, d1: int, index: np.ndarray, values: np.ndarray) -> "KernelCoeffs":
+        """Kernel over arrays that an engine built from validated inputs; the rows
+        of ``index`` are distinct.  Exact zeros are dropped, and a value past
+        float range raises OverflowError."""
+        if not np.isfinite(values).all():
+            raise OverflowError("kernel coefficient out of float range")
+        keep = values != 0
+        if not keep.all():
+            index, values = index[keep], values[keep]
+        out = cls.__new__(cls)
+        out.d2, out.d1, out._entries, out._index, out._values = d2, d1, None, index, values
+        return out
 
     @property
     def d(self) -> int:
@@ -105,21 +181,6 @@ class KernelCoeffs:
         if self.d2 != self.d1:
             raise DimensionMismatch(f"kernel is not square: d2={self.d2}, d1={self.d1}")
         return self.d2
-
-    def support_degree(self) -> int:
-        """max over support of max(|alpha|, |beta|); 0 for the zero kernel."""
-        if not self.entries:
-            return 0
-        return max(max(total_degree(a), total_degree(b)) for a, b in self.entries)
-
-    def copy(self) -> "KernelCoeffs":
-        return KernelCoeffs(self.d2, self.d1, dict(self.entries))
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __repr__(self) -> str:
-        return f"KernelCoeffs(d2={self.d2}, d1={self.d1}, {len(self.entries)} entries)"
 
 
 def series_delta(d: int, alpha: Iterable[int], value: complex = 1.0) -> SeriesCoeffs:

@@ -169,7 +169,7 @@ def kappa_weight(kind: int, zero_variant: bool, r: float, s: GrowthOrder, z) -> 
 
     kind 1 bounds kernels of operators acting on the small spaces, kind 2
     the dual direction; the zero variant replaces the s = 1/2 case by
-    exp(r |z|^2).
+    exp(r |z|^2).  Returns +inf past float range.
     """
     if kind not in (1, 2):
         raise PreconditionError(f"kind must be 1 or 2, got {kind}")
@@ -179,26 +179,26 @@ def kappa_weight(kind: int, zero_variant: bool, r: float, s: GrowthOrder, z) -> 
     bracket = math.sqrt(1.0 + az * az)
 
     if zero_variant and s.kind == "real" and s.value == 0.5:
-        return math.exp(r * az * az)
+        return _exp(r * az * az)
 
     if s.kind == "real":
         sv = s.value
         if sv < 0.5:
             if kind == 2:
                 raise PreconditionError("kind-2 envelope undefined for real orders below 1/2")
-            return math.exp(r * math.log(bracket) ** (1.0 / (1.0 - 2.0 * sv)))
+            return _exp(r * math.log(bracket) ** (1.0 / (1.0 - 2.0 * sv)))
         sign = -1.0 if kind == 1 else 1.0
-        return math.exp(0.5 * az * az + sign * r * az ** (1.0 / sv))
+        return _exp(0.5 * az * az + sign * r * az ** (1.0 / sv))
     if s.kind == "flat":
         sigma = s.value
         if kind == 1:
-            return math.exp(r * az ** (2.0 * sigma / (sigma + 1.0)))
+            return _exp(r * az ** (2.0 * sigma / (sigma + 1.0)))
         if sigma <= 1.0:
             raise PreconditionError("kind-2 envelope requires flat order sigma > 1")
-        return math.exp(r * az ** (2.0 * sigma / (sigma - 1.0)))
+        return _exp(r * az ** (2.0 * sigma / (sigma - 1.0)))
     if s.kind == "inf":
         expo = -r if kind == 1 else r
-        return math.exp(0.5 * az * az) * bracket ** expo
+        return _exp(0.5 * az * az + expo * math.log(bracket))
     raise PreconditionError("envelope undefined for the zero order")
 
 
@@ -387,7 +387,7 @@ def classify(c: KernelCoeffs, space: SpaceSpec, r_grid: Sequence[float]) -> Diag
     if not grid or grid[0] <= 0:
         raise PreconditionError("r_grid must be a non-empty list of positive radii")
     truncation = c.support_degree()
-    if not c.entries:
+    if not len(c):
         return DiagnosticReport(space, truncation, grid, {}, "Consistent")
 
     pattern, outer_role, sign = _FAMILIES[space.family]
@@ -399,16 +399,15 @@ def classify(c: KernelCoeffs, space: SpaceSpec, r_grid: Sequence[float]) -> Diag
     # a weight depends on an index only through |alpha| and log(alpha!): form
     # those once, sorted by total degree; each radius pair is then one array
     # expression.  alpha carries s2, beta carries s1.
-    keys = list(c.entries)
-    alpha = np.array([a for a, _ in keys], dtype=float)
-    beta = np.array([b for _, b in keys], dtype=float)
+    index, values = c.arrays()
+    alpha, beta = index[:, :c.d2], index[:, c.d2:]
     n2, n1 = alpha.sum(axis=1), beta.sum(axis=1)
     order = np.argsort(n2 + n1, kind="stable")
     n2, n1 = n2[order], n1[order]
     lf2, lf1 = _log_factorials(alpha)[order], _log_factorials(beta)[order]
-    log_c = np.log(np.abs(np.fromiter(c.entries.values(), dtype=complex, count=len(keys))))[order]
+    log_c = np.log(np.abs(values))[order]
     degrees, starts = np.unique(n2 + n1, return_index=True)
-    groups = [(int(n), slice(a, b)) for n, a, b in zip(degrees, starts, [*starts[1:], len(keys)])]
+    groups = [(int(n), slice(a, b)) for n, a, b in zip(degrees, starts, [*starts[1:], len(values)])]
 
     pair = pattern not in ("exists", "forall")
     if pair:

@@ -81,6 +81,18 @@ def apply_operator(K: KernelCoeffs, F: SeriesCoeffs) -> SeriesCoeffs:
     return SeriesCoeffs(K.d2, out)
 
 
+def _first_seen(rows: np.ndarray) -> np.ndarray:
+    """For each row of an int array, the position of the first row equal to it."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    first = np.empty(len(rows), dtype=np.intp)
+    first[order] = order[new][np.cumsum(new) - 1]  # the sort is stable: a run starts at its first row
+    return first
+
+
+@np.errstate(over="ignore", invalid="ignore")  # values past float range are caught on output
 def compose_kernels(K2: KernelCoeffs, K1: KernelCoeffs) -> KernelCoeffs:
     """Kernel of K2 after K1: c(alpha, delta) = sum_beta c2(alpha, beta) c1(beta, delta).
 
@@ -93,34 +105,27 @@ def compose_kernels(K2: KernelCoeffs, K1: KernelCoeffs) -> KernelCoeffs:
     """
     if K2.d1 != K1.d2:
         raise DimensionMismatch(f"inner dimensions differ: {K2.d1} vs {K1.d2}")
-    inner: Dict[MultiIndex, int] = {}
-    deltas: Dict[MultiIndex, int] = {}
-    b1 = np.fromiter((inner.setdefault(b, len(inner)) for b, _ in K1.entries), np.intp, len(K1))
-    c1 = np.fromiter((deltas.setdefault(dl, len(deltas)) for _, dl in K1.entries), np.intp, len(K1))
-    v1 = np.fromiter(K1.entries.values(), complex, len(K1))
-    alphas: Dict[MultiIndex, int] = {}
-    a2, b2, v2 = [], [], []
-    for (alpha, beta), v in K2.entries.items():
-        bi = inner.get(beta)
-        if bi is not None:
-            a2.append(alphas.setdefault(alpha, len(alphas)))
-            b2.append(bi)
-            v2.append(v)
-    # K1 row by row (dict order within a row); K2 likewise
+    idx2, v2 = K2.arrays()
+    idx1, v1 = K1.arrays()
+    n1 = len(idx1)
+    # an index is numbered by the position of its first row; K1's betas come
+    # first, so a K2 entry whose beta K1 lacks gets a number of n1 or more
+    inner = _first_seen(np.concatenate((idx1[:, :K1.d2], idx2[:, K2.d2:])))
+    b1, b2 = inner[:n1], inner[n1:]
+    matched = b2 < n1
+    alphas, b2, v2 = idx2[matched, :K2.d2], b2[matched], v2[matched]
+    a2, c1 = _first_seen(alphas), _first_seen(idx1[:, K1.d2:])
+    # K1 row by row (entry order within a row); K2 likewise
     by_row = np.argsort(b1, kind="stable")
     c1, v1 = c1[by_row], v1[by_row]
-    row_len = np.bincount(b1, minlength=len(inner))
+    row_len = np.bincount(b1)
     row_start = np.cumsum(row_len) - row_len
-    a2 = np.array(a2, dtype=np.intp)
     by_row = np.argsort(a2, kind="stable")
-    a2 = a2[by_row]
-    b2 = np.array(b2, dtype=np.intp)[by_row]
-    v2 = np.array(v2, dtype=complex)[by_row]
+    a2, b2, v2 = a2[by_row], b2[by_row], v2[by_row]
     counts = row_len[b2]
     before = np.concatenate(([0], np.cumsum(counts)))
     cuts = np.append(np.flatnonzero(np.diff(a2, prepend=-1)), len(a2))
     at = before[cuts]
-    n_delta = max(len(deltas), 1)
     keys, re, im = [], [], []
     i = 0
     while i < len(cuts) - 1:
@@ -128,24 +133,16 @@ def compose_kernels(K2: KernelCoeffs, K1: KernelCoeffs) -> KernelCoeffs:
         lo, hi = cuts[i], cuts[k]
         i = k
         cnt = counts[lo:hi]
-        total = int(before[hi] - before[lo])
-        if not total:
-            continue
+        total = int(before[hi] - before[lo])  # at least one: every beta left has a row in K1
         s1 = np.arange(total) + np.repeat(row_start[b2[lo:hi]] - (before[lo:hi] - before[lo]), cnt)
         x2, x1 = np.repeat(v2[lo:hi], cnt), v1[s1]
         # complex multiply part by part
         term_re = x2.real * x1.real - x2.imag * x1.imag
         term_im = x2.real * x1.imag + x2.imag * x1.real
-        key = np.repeat(a2[lo:hi], cnt) * n_delta + c1[s1]
-        # number the distinct keys; bincount adds each key's products in order
-        order = np.argsort(key)
-        ordered = key[order]
-        new = np.empty(total, dtype=bool)
-        new[0] = True
-        np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-        group = np.empty(total, dtype=np.intp)
-        group[order] = np.cumsum(new) - 1
-        keys.append(ordered[new])
+        key = np.repeat(a2[lo:hi], cnt) * n1 + c1[s1]
+        # bincount adds each distinct key's products in order
+        distinct, group = np.unique(key, return_inverse=True)
+        keys.append(distinct)
         re.append(np.bincount(group, weights=term_re))
         im.append(np.bincount(group, weights=term_im))
     if not keys:
@@ -153,10 +150,8 @@ def compose_kernels(K2: KernelCoeffs, K1: KernelCoeffs) -> KernelCoeffs:
     key = np.concatenate(keys)
     values = np.empty(len(key), dtype=complex)
     values.real, values.imag = np.concatenate(re), np.concatenate(im)
-    alpha_of, delta_of = list(alphas), list(deltas)
-    out_keys = zip(map(alpha_of.__getitem__, (key // n_delta).tolist()),
-                   map(delta_of.__getitem__, (key % n_delta).tolist()))
-    return KernelCoeffs(K2.d2, K1.d1, dict(zip(out_keys, values.tolist())))
+    index = np.concatenate((alphas[key // n1], idx1[key % n1, K1.d2:]), axis=1)
+    return KernelCoeffs._from_arrays(K2.d2, K1.d1, index, values)
 
 
 def twisted_product(a1: KernelCoeffs, a2: KernelCoeffs, out_degree: int | None = None) -> KernelCoeffs:

@@ -11,7 +11,7 @@ from fockcalc.binomial import l2_r_norm, s0, s0_inv, t0, t0_star
 from fockcalc.errors import DimensionMismatch
 from fockcalc.multiindex import enumerate_degree, index_add, multi_binomial, total_degree
 from fockcalc.series import KernelCoeffs, kernel_delta
-from fockcalc.symbolcalc import t0_bound_constant
+from fockcalc.symbolcalc import compose_kernels, t0_bound_constant
 
 
 def random_kernel(rng, d, degree):
@@ -289,3 +289,17 @@ def test_sweep_properties(c, t, shift):
                      (t0_star(c, t), t0_star_reference(c, t))):
         assert set(out.entries) == set(ref.entries)
         assert sup_diff(out, ref) <= 1e-14 * sup(ref)
+        # the output reads like a validated container: Python ints and complex
+        for (a, b), v in out.entries.items():
+            assert all(type(x) is int for x in a + b) and type(v) is complex
+        assert KernelCoeffs(out.d2, out.d1, out.entries).entries == out.entries
+        assert len(out) == len(out.entries)
+
+
+def test_value_overflow_raises_overflow_error():
+    # finite inputs whose products leave float range: one error, no numpy warning first
+    with pytest.raises(OverflowError):
+        t0(KernelCoeffs(1, 1, {((0,), (0,)): 1e308}), 4.0, out_degree=2)
+    big = KernelCoeffs(1, 1, {((0,), (0,)): 1e200})
+    with pytest.raises(OverflowError):
+        compose_kernels(big, big)

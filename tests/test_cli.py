@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from fockcalc.binomial import t0
 from fockcalc.cli import main
 from fockcalc.serialize import coeffs_from_jsonable, coeffs_to_jsonable, load_coeffs, save_coeffs
 from fockcalc.errors import SchemaError
@@ -45,6 +46,12 @@ def test_roundtrip_serialization(tmp_path):
     p2 = tmp_path / "f.json"
     save_coeffs(F, p2)
     assert load_coeffs(p2).entries == F.entries
+    # an engine output is written byte for byte as the same map built through the constructor
+    raised = t0(K, 0.3 - 0.7j, out_degree=5)
+    p3, p4 = tmp_path / "raised.json", tmp_path / "rebuilt.json"
+    save_coeffs(raised, p3)
+    save_coeffs(KernelCoeffs(1, 1, dict(raised.entries)), p4)
+    assert p3.read_bytes() == p4.read_bytes()
 
 
 def test_schema_rejects_bad_documents():
@@ -60,6 +67,20 @@ def test_schema_rejects_bad_documents():
     with pytest.raises(SchemaError):
         coeffs_from_jsonable({"kind": "kernel", "d2": 1, "d1": 1, "max_degree": 1,
                               "entries": [{"alpha": [1], "beta": [1, 0], "re": 1.0, "im": 0.0}]})
+    # booleans and values outside float range, as Python's json parses them
+    for value in (True, math.nan, math.inf, json.loads("1e400"), -math.inf, 10 ** 400):
+        for field in ("re", "im"):
+            with pytest.raises(SchemaError):
+                coeffs_from_jsonable({"kind": "series", "d": 1, "max_degree": 0,
+                                      "entries": [{"alpha": [0], field: value}]})
+
+
+def test_non_finite_file_value_exit_code(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"kind": "kernel", "d2": 1, "d1": 1, "max_degree": 0, '
+                   '"entries": [{"alpha": [0], "beta": [0], "re": NaN, "im": 0.0}]}')
+    assert run("transform", "--input", bad, "--output", tmp_path / "x.json", "--op", "s0") == 2
+    assert json.loads(capsys.readouterr().err)["error"]["kind"] == "schema"
 
 
 def test_canonical_entry_order():
@@ -244,6 +265,18 @@ def test_dimension_exit_code(files, tmp_path, capsys):
     assert run("transform", "--input", rect, "--output", out, "--op", "s0") == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["kind"] == "dimension"
+
+
+def test_value_overflow_is_one_json_error(tmp_path, capsys):
+    # the raised values leave float range: exit 4 with one JSON object on stderr
+    big = tmp_path / "big.json"
+    save_coeffs(KernelCoeffs(1, 1, {((0,), (0,)): 1e308}), big)
+    out = tmp_path / "x.json"
+    assert run("transform", "--input", big, "--output", out, "--op", "t0",
+               "--t", "4", "--out-degree", "2") == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["kind"] == "arithmetic"
+    assert not out.exists()
 
 
 def test_overflow_exit_code(tmp_path, capsys):

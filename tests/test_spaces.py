@@ -106,6 +106,12 @@ def test_kappa_small_real_order_uses_log_bracket():
     assert abs(v - expect) < 1e-12
 
 
+def test_kappa_overflow_is_inf():
+    # exp(900) and exp(800) / sqrt(1601) leave float range, as theta and omega weights may
+    assert kappa_weight(1, True, 1.0, GO.real(0.5), 30.0) == math.inf
+    assert kappa_weight(1, False, 1.0, GO.infinity(), 40.0) == math.inf
+
+
 def test_kappa_unsupported_combinations():
     with pytest.raises(PreconditionError):
         kappa_weight(2, False, 1.0, GO.flat(0.5), 1.0)

@@ -204,6 +204,11 @@ def test_compose_matches_loop_reference(monkeypatch, block):
         assert set(out.entries) == set(ref.entries)
         scale = max((abs(v) for v in ref.entries.values()), default=0.0)
         assert sup_diff(out, ref) <= 1e-14 * scale
+        # the output reads like a validated container: Python ints and complex
+        for (a, b), v in out.entries.items():
+            assert all(type(x) is int for x in a + b) and type(v) is complex
+        assert KernelCoeffs(out.d2, out.d1, out.entries).entries == out.entries
+        assert len(out) == len(out.entries)
 
 
 def test_compose_memory_grows_with_entries():
