@@ -8,13 +8,24 @@ evaluated by ``_gaussian_integral`` on a tensor-product Gauss-Hermite rule
 on R^(2d): z = w = 0 is the Gaussian measure itself, w = 0 operator
 application (grid recentered at u = z), and general (z, w) the smoothing,
 composition and rank-one integrals (recentered at (z + w)/2).  The
-real-space transforms recenter at sqrt(2) Re z and at x.  With the default
-64 nodes per axis the rules integrate the polynomial parts exactly and leave
-only entire-function remainders far below test tolerances.
+real-space transforms recenter at sqrt(2) Re z and at x.  The rules
+integrate the polynomial parts exactly and leave only entire-function
+remainders far below test tolerances.
 
 Grids hold at most MAX_GRID_NODES = 2^20 nodes, checked before anything is
 allocated: M^(2d) nodes means d = 1 takes any M, d = 2 needs M <= 32 and
-d = 3 needs M <= 10.  Complex integration is d <= 3 only.
+d = 3 needs M <= 10.  Complex integration is d <= 3 only.  The default M
+is chosen per number of real axes, the largest M up to 64 within that
+budget: 64 at d = 1, 32 at d = 2 and 10 at d = 3 for complex integrals;
+FOCK_QUAD_NODES overrides it.
+
+The rule centred at 0 (offsets, weights and flat weights, read-only) is
+built once per (M, dims, scale) and kept while the kept rules fit in
+GRID_CACHE_BYTES; a grid adds its centre to the offsets, the same operation
+that built the nodes before, so the nodes are the same bit for bit.
+Integrands are evaluated on blocks of QUAD_BLOCK nodes, which bounds every
+temporary of an integral whatever the grid size.  The integrands evaluate
+basis functions pointwise and never call the coefficient engines they check.
 """
 
 from __future__ import annotations
@@ -24,6 +35,7 @@ import functools
 import itertools
 import math
 import os
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -45,15 +57,28 @@ MAX_NODES = 256
 DEFAULT_NODES = 64
 MAX_COMPLEX_DIM = 3
 MAX_GRID_NODES = 2 ** 20
+QUAD_BLOCK = 1024             # nodes per integrand evaluation
+GRID_CACHE_BYTES = 2 ** 26    # bound on the cached unit grids
 
 NODES_ENV_VAR = "FOCK_QUAD_NODES"
 
 
-def default_nodes() -> int:
-    """Default nodes per real axis; FOCK_QUAD_NODES overrides."""
+def _max_nodes(dims: int) -> int:
+    """The largest M with M^dims <= MAX_GRID_NODES."""
+    fit = int(MAX_GRID_NODES ** (1.0 / dims))  # the float root may be off by one either way
+    while fit ** dims > MAX_GRID_NODES:
+        fit -= 1
+    while (fit + 1) ** dims <= MAX_GRID_NODES:
+        fit += 1
+    return fit
+
+
+def default_nodes(dims: int = 1) -> int:
+    """Default nodes per axis on ``dims`` real axes: the largest M up to
+    DEFAULT_NODES within MAX_GRID_NODES.  FOCK_QUAD_NODES overrides it."""
     raw = os.environ.get(NODES_ENV_VAR)
     if raw is None:
-        return DEFAULT_NODES
+        return min(DEFAULT_NODES, _max_nodes(dims))
     try:
         m = int(raw)
     except ValueError as exc:
@@ -67,9 +92,11 @@ def default_nodes() -> int:
 class QuadratureGrid:
     """Tensor-product Gauss-Hermite rule against exp(-((x - center)/scale)^2) per axis.
 
+    ``offsets`` are the nodes relative to ``center``; ``nodes`` adds the two.
     ``weights`` integrate polynomials against the Gaussian (their sum is the
     total Gaussian mass); ``flat_weights`` carry the exp(+xi^2) correction and
-    integrate raw functions of comparable decay.
+    integrate raw functions of comparable decay.  The integrals evaluate f on
+    blocks of QUAD_BLOCK nodes.
     """
 
     kind: str
@@ -77,19 +104,32 @@ class QuadratureGrid:
     dims: int
     center: np.ndarray
     scale: float
-    nodes: np.ndarray
+    offsets: np.ndarray
     weights: np.ndarray
     flat_weights: np.ndarray
 
+    @functools.cached_property
+    def nodes(self) -> np.ndarray:
+        return self.center + self.offsets
+
+    def blocks(self):
+        """(nodes, weights, flat_weights) over consecutive blocks of QUAD_BLOCK nodes."""
+        n, dims = len(self.weights), self.dims
+        offsets = self.offsets.reshape(-1)
+        # the centre repeated once per node: one flat addition recentres a block
+        shift = np.tile(self.center, min(QUAD_BLOCK, n))
+        for s in range(0, n, QUAD_BLOCK):
+            e = min(s + QUAD_BLOCK, n)
+            nodes = (offsets[s * dims:e * dims] + shift[:(e - s) * dims]).reshape(e - s, dims)
+            yield nodes, self.weights[s:e], self.flat_weights[s:e]
+
     def integrate(self, f: Callable) -> complex:
         """Plain Lebesgue integral of f over R^dims (f vectorized over (n, dims))."""
-        vals = np.asarray(f(self.nodes))
-        return complex(np.sum(self.flat_weights * vals))
+        return complex(sum((flat * np.asarray(f(x))).sum() for x, _, flat in self.blocks()))
 
     def integrate_weighted(self, f: Callable) -> complex:
         """Integral of f against the grid's own Gaussian weight."""
-        vals = np.asarray(f(self.nodes))
-        return complex(np.sum(self.weights * vals))
+        return complex(sum((w * np.asarray(f(x))).sum() for x, w, _ in self.blocks()))
 
 
 @functools.lru_cache(maxsize=16)
@@ -98,6 +138,44 @@ def _hermgauss_cached(M: int):
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
+
+
+_unit_grids: "OrderedDict[tuple, tuple]" = OrderedDict()
+
+
+def _unit_grid(M: int, dims: int, scale: float) -> tuple:
+    """Read-only (offsets, weights, flat_weights) of the rule centred at 0, kept
+    per (M, dims, scale) while the kept grids fit in GRID_CACHE_BYTES."""
+    key = (M, dims, scale)
+    if key in _unit_grids:
+        _unit_grids.move_to_end(key)
+        return _unit_grids[key]
+    x, w = _hermgauss_cached(M)
+    # per-axis combined weights stay O(1): w_i ~ exp(-x_i^2)
+    flat_axis = scale * w * np.exp(x * x)
+    axis_w = scale * w
+    n = M ** dims
+    offsets = np.empty((n, dims))
+    weights = np.ones(n)
+    flat = np.ones(n)
+    for j in range(dims):
+        reps_outer = M ** j
+        reps_inner = M ** (dims - 1 - j)
+        offsets[:, j] = scale * np.repeat(np.tile(x, reps_outer), reps_inner)
+        weights *= np.repeat(np.tile(axis_w, reps_outer), reps_inner)
+        flat *= np.repeat(np.tile(flat_axis, reps_outer), reps_inner)
+    mass = (scale * math.sqrt(math.pi)) ** dims
+    if abs(float(np.sum(weights)) - mass) > 1e-12 * mass:
+        raise RuntimeError("quadrature weights failed the Gaussian-mass invariant")
+    grid = (offsets, weights, flat)
+    for a in grid:
+        a.setflags(write=False)
+    size = sum(a.nbytes for a in grid)
+    if size <= GRID_CACHE_BYTES:
+        while _unit_grids and size + sum(a.nbytes for g in _unit_grids.values() for a in g) > GRID_CACHE_BYTES:
+            _unit_grids.popitem(last=False)
+        _unit_grids[key] = grid
+    return grid
 
 
 def gauss_hermite_grid(M: int, dims: int, center: Sequence[float] | None = None,
@@ -111,36 +189,13 @@ def gauss_hermite_grid(M: int, dims: int, center: Sequence[float] | None = None,
         raise ValueError("scale must be positive")
     n = M ** dims
     if n > MAX_GRID_NODES:
-        fit = 1
-        while (fit + 1) ** dims <= MAX_GRID_NODES:
-            fit += 1
         raise PreconditionError(
             f"{M} nodes per axis on {dims} axes is {n} nodes, over the budget of {MAX_GRID_NODES}; "
-            f"at most {fit} nodes per axis fit")
+            f"at most {_max_nodes(dims)} nodes per axis fit")
     c = np.zeros(dims) if center is None else np.asarray(center, dtype=float)
     if c.shape != (dims,):
         raise DimensionMismatch(f"center of shape {c.shape} does not match dims={dims}")
-    x, w = _hermgauss_cached(M)
-    # per-axis combined weights stay O(1): w_i ~ exp(-x_i^2)
-    flat_axis = scale * w * np.exp(x * x)
-    axis_w = scale * w
-
-    nodes = np.empty((n, dims))
-    weights = np.ones(n)
-    flat = np.ones(n)
-    for j in range(dims):
-        reps_outer = M ** j
-        reps_inner = M ** (dims - 1 - j)
-        col = np.repeat(np.tile(x, reps_outer), reps_inner)
-        nodes[:, j] = c[j] + scale * col
-        weights *= np.repeat(np.tile(axis_w, reps_outer), reps_inner)
-        flat *= np.repeat(np.tile(flat_axis, reps_outer), reps_inner)
-
-    grid = QuadratureGrid("GaussHermite", M, dims, c, float(scale), nodes, weights, flat)
-    mass = (scale * math.sqrt(math.pi)) ** dims
-    if abs(float(np.sum(weights)) - mass) > 1e-12 * mass:
-        raise RuntimeError("quadrature weights failed the Gaussian-mass invariant")
-    return grid
+    return QuadratureGrid("GaussHermite", M, dims, c, float(scale), *_unit_grid(M, dims, float(scale)))
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +210,9 @@ def _as_cvector(z, d: int) -> np.ndarray:
 
 
 def to_complex(nodes: np.ndarray) -> np.ndarray:
-    """Pair interleaved real coordinates (Re z1, Im z1, ...) into complex vectors."""
-    return nodes[:, 0::2] + 1j * nodes[:, 1::2]
+    """Pair interleaved real coordinates (Re z1, Im z1, ...) into complex vectors
+    (a view of ``nodes`` where they are C-contiguous floats)."""
+    return np.ascontiguousarray(nodes, dtype=float).view(complex)
 
 
 def complex_grid(M: int, d: int, center: Sequence[complex] | None = None,
@@ -199,7 +255,7 @@ def _diag_fn(a) -> Callable:
 
 
 def _check_finite(vals: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise DomainError("integrand produced non-finite values")
     return vals
 
@@ -222,17 +278,18 @@ def _gaussian_integral(f: Callable, d: int, grid: QuadratureGrid, z: np.ndarray,
 
     def integrand(pts):
         u = to_complex(pts)
-        # (z - u, w - u) one axis at a time keeps the temporaries to single columns
-        expo = -sum((z[j] - u[:, j]) * np.conj(w[j] - u[:, j]) for j in range(d))
-        return _check_finite(np.asarray(f(u), dtype=complex) * np.exp(expo))
+        # -(z - u, w - u) one axis at a time: numpy loops over whole columns
+        vals = np.exp(sum((u[:, j] - z[j]) * np.conj(w[j] - u[:, j]) for j in range(d)))
+        vals *= f(u)
+        return _check_finite(vals)
 
     return grid.integrate(integrand) * math.pi ** (-d)
 
 
 def _recentred_integral(f: Callable, d: int, z: np.ndarray, w: np.ndarray, center: np.ndarray,
                         M: int | None) -> complex:
-    """The same integral on an M-node rule (default_nodes() if M is None) centred at center."""
-    return _gaussian_integral(f, d, complex_grid(M or default_nodes(), d, center=center), z, w)
+    """The same integral on an M-node rule (default_nodes(2 * d) if M is None) centred at center."""
+    return _gaussian_integral(f, d, complex_grid(M or default_nodes(2 * d), d, center=center), z, w)
 
 
 def integrate_gaussian_c(f: Callable, d: int, grid: QuadratureGrid) -> complex:
@@ -299,7 +356,7 @@ def bargmann_quad(f: Callable, z, M: int | None = None, d: int | None = None) ->
     if d is None:
         d = np.atleast_1d(np.asarray(z)).shape[-1]
     zz = _as_cvector(z, d)
-    grid = gauss_hermite_grid(M or default_nodes(), d,
+    grid = gauss_hermite_grid(M or default_nodes(d), d,
                               center=math.sqrt(2.0) * zz.real, scale=math.sqrt(2.0))
 
     def integrand(y):
@@ -328,7 +385,7 @@ def stft_gaussian_quad(f: Callable, x, xi, M: int | None = None) -> complex:
     if xv.shape != xiv.shape:
         raise DimensionMismatch("x and xi must have the same dimension")
     d = xv.shape[0]
-    grid = gauss_hermite_grid(M or default_nodes(), d, center=xv, scale=math.sqrt(2.0))
+    grid = gauss_hermite_grid(M or default_nodes(d), d, center=xv, scale=math.sqrt(2.0))
 
     def integrand(y):
         phase = np.exp(-1j * np.sum(y * xiv[np.newaxis, :], axis=-1))
@@ -383,15 +440,15 @@ def toeplitz_matrix_quad(symbol: Callable, N: int, M: int | None = None, d: int 
     """
     if d > MAX_COMPLEX_DIM:
         raise PreconditionError(f"toeplitz quadrature limited to d <= {MAX_COMPLEX_DIM}")
-    grid = gauss_hermite_grid(M or default_nodes(), 2 * d, scale=math.sqrt(2.0))
-    xs = grid.nodes[:, :d]
-    xis = grid.nodes[:, d:]
+    grid = gauss_hermite_grid(M or default_nodes(2 * d), 2 * d, scale=math.sqrt(2.0))
     index = enumerate_degree(d, N)
-    V = _stft_basis_values(index, xs, xis)
-    sym = _check_finite(np.asarray(symbol(xs, xis), dtype=complex))
-    weighted = V * (grid.flat_weights * sym)[np.newaxis, :]
-    mat = (weighted @ V.conj().T).T
-    return OperatorMatrix(N, d, index, mat)
+    mat = np.zeros((len(index), len(index)), dtype=complex)
+    for nodes, _, flat in grid.blocks():
+        xs, xis = nodes[:, :d], nodes[:, d:]
+        V = _stft_basis_values(index, xs, xis)
+        sym = _check_finite(np.asarray(symbol(xs, xis), dtype=complex))
+        mat += (V * (flat * sym)[np.newaxis, :]) @ V.conj().T
+    return OperatorMatrix(N, d, index, mat.T)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ from __future__ import annotations
 import cmath
 import math
 from itertools import chain
-from typing import Dict, Iterable, List, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 import numpy as np
 
@@ -33,6 +34,8 @@ LADDER_MULTIPLY = "multiply"
 LADDER_DIFFERENTIATE = "differentiate"
 
 _INT64_SPAN = 2 ** 63
+_DENSE_MIN = 4096      # eval_kernel forms the dense coefficient matrix up to this size or 4x the entries
+_ENTRY_BLOCK = 64      # entries per block where it does not
 
 
 def _pack(cols: np.ndarray, radix: int) -> tuple[List[np.ndarray], List[tuple[int, int]]]:
@@ -64,7 +67,7 @@ class _Coeffs:
     multi-index of a key.
     """
 
-    __slots__ = ("_entries", "_index", "_values")
+    __slots__ = ("_entries", "_index", "_values", "_rows")
 
     def _spans(self) -> List[slice]:
         """The columns of ``index`` that hold each multi-index of a key."""
@@ -72,15 +75,15 @@ class _Coeffs:
         return [slice(sum(dims[:i]), sum(dims[:i + 1])) for i in range(len(dims))]
 
     @property
-    def entries(self) -> Dict:
-        """The map as a dict of Python ints and complex, one tuple per distinct multi-index."""
+    def entries(self) -> Mapping:
+        """The map as a read-only view of Python ints and complex, one tuple per distinct multi-index."""
         if self._entries is None:
             cols = self._index.T.tolist()
             shared: Dict[MultiIndex, MultiIndex] = {}
             parts = [[shared.setdefault(k, k) for k in zip(*cols[s])] for s in self._spans()]
             keys = zip(*parts) if len(parts) > 1 else parts[0]
             self._entries = dict(zip(keys, self._values.tolist()))
-        return self._entries
+        return MappingProxyType(self._entries)
 
     def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """The map as arrays (index, values), in the order of ``entries``; do not write to them."""
@@ -92,6 +95,17 @@ class _Coeffs:
             self._index = np.fromiter(flat, np.int64, count=n * spans[-1].stop).reshape(n, spans[-1].stop)
             self._values = np.fromiter(self._entries.values(), complex, count=n)
         return self._index, self._values
+
+    def _distinct(self) -> List[Tuple[np.ndarray, np.ndarray, List[int]]]:
+        """Per multi-index of a key: its distinct rows, each entry's row number and
+        the largest component per axis; kept."""
+        if self._rows is None:
+            index, _ = self.arrays()
+            self._rows = []
+            for s in self._spans():
+                rows, inv = np.unique(index[:, s], axis=0, return_inverse=True)
+                self._rows.append((rows, inv.reshape(-1), rows.max(axis=0, initial=0).tolist()))
+        return self._rows
 
     def support_degree(self) -> int:
         """Largest total degree of a multi-index in the support (0 when empty)."""
@@ -126,7 +140,7 @@ class SeriesCoeffs(_Coeffs):
                 raise ValueError(f"non-finite coefficient at {idx}")
             if cv != 0:
                 clean[idx] = cv
-        self._entries, self._index = clean, None
+        self._entries, self._index, self._rows = clean, None, None
 
 
 class KernelCoeffs(_Coeffs):
@@ -159,7 +173,7 @@ class KernelCoeffs(_Coeffs):
                 raise ValueError(f"non-finite coefficient at ({a}, {b})")
             if cv != 0:
                 clean[(a, b)] = cv
-        self._entries, self._index = clean, None
+        self._entries, self._index, self._rows = clean, None, None
 
     @classmethod
     def _from_arrays(cls, d2: int, d1: int, index: np.ndarray, values: np.ndarray) -> "KernelCoeffs":
@@ -172,7 +186,7 @@ class KernelCoeffs(_Coeffs):
         if not keep.all():
             index, values = index[keep], values[keep]
         out = cls.__new__(cls)
-        out.d2, out.d1, out._entries, out._index, out._values = d2, d1, None, index, values
+        out.d2, out.d1, out._entries, out._index, out._values, out._rows = d2, d1, None, index, values, None
         return out
 
     @property
@@ -230,29 +244,74 @@ def eval_basis(alpha: MultiIndex, z) -> complex | np.ndarray:
     return complex(vals[0]) if single else vals
 
 
+def _basis_rows(rows: np.ndarray, tops: List[int], pts: np.ndarray) -> np.ndarray:
+    """e_alpha at every point for each row alpha of ``rows``, shape (len(rows), n);
+    ``tops`` holds the largest entry of each column of ``rows``.
+
+    Per axis the table u^k / sqrt(k!) is built by repeated multiplication, so
+    no factorial leaves float range; each row multiplies one table row per axis.
+    """
+    out = None
+    for j, top in enumerate(tops):
+        if top == 0:
+            continue
+        u = pts[:, j]
+        table = np.empty((top + 1, len(pts)), dtype=complex)
+        parts = table.view(float)  # divide the real and imaginary parts by the real sqrt(k)
+        table[0] = 1.0
+        for k in range(1, top + 1):
+            np.multiply(table[k - 1], u, out=table[k])
+            parts[k] /= math.sqrt(k)
+        if out is None:
+            out = table[rows[:, j]]
+        else:
+            out *= table[rows[:, j]]
+    return np.ones((len(rows), len(pts)), dtype=complex) if out is None else out
+
+
+def _fold(inverse: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
+    """Sum the complex values x into n bins by their row numbers."""
+    return np.bincount(inverse, x.real, n) + 1j * np.bincount(inverse, x.imag, n)
+
+
 def eval_series(F: SeriesCoeffs, z) -> complex | np.ndarray:
+    """sum c(alpha) e_alpha(z), from per-axis power tables and one contraction."""
     pts, single = _as_points(z, F.d)
-    acc = np.zeros(pts.shape[0], dtype=complex)
-    for alpha, v in F.entries.items():
-        acc += v * eval_basis(alpha, pts)
+    _, values = F.arrays()
+    ((rows, inv, tops),) = F._distinct()
+    acc = _fold(inv, values, len(rows)) @ _basis_rows(rows, tops, pts)
     return complex(acc[0]) if single else acc
 
 
 def eval_kernel(K: KernelCoeffs, z, w) -> complex | np.ndarray:
-    """sum c(alpha, beta) e_alpha(z) e_beta(conj(w)); z and w broadcast over points."""
+    """sum c(alpha, beta) e_alpha(z) e_beta(conj(w)); z and w broadcast over points.
+
+    One contraction over the distinct alphas and betas,
+    sum(E_alpha(z) * (C @ E_beta(conj w)), axis=0); a one-point side is folded
+    into the coefficients first, so it stays one row.
+    """
     zp, zs = _as_points(z, K.d2)
     wp, ws = _as_points(w, K.d1)
-    if zp.shape[0] != wp.shape[0]:
-        if zp.shape[0] == 1:
-            zp = np.broadcast_to(zp, (wp.shape[0], K.d2))
-        elif wp.shape[0] == 1:
-            wp = np.broadcast_to(wp, (zp.shape[0], K.d1))
-        else:
-            raise DimensionMismatch("z and w point counts differ")
-    wc = np.conj(wp)
-    acc = np.zeros(zp.shape[0], dtype=complex)
-    for (alpha, beta), v in K.entries.items():
-        acc += v * eval_basis(alpha, zp) * eval_basis(beta, wc)
+    if len(zp) != len(wp) and 1 not in (len(zp), len(wp)):
+        raise DimensionMismatch("z and w point counts differ")
+    _, values = K.arrays()
+    (arows, ai, atops), (brows, bi, btops) = K._distinct()
+    ez, ew = _basis_rows(arows, atops, zp), _basis_rows(brows, btops, np.conj(wp))
+    if len(zp) == 1:
+        acc = _fold(bi, values * ez[ai, 0], len(brows)) @ ew
+    elif len(wp) == 1:
+        acc = _fold(ai, values * ew[bi, 0], len(arows)) @ ez
+    else:
+        if len(arows) * len(brows) <= max(4 * len(values), _DENSE_MIN):
+            C = np.zeros((len(arows), len(brows)), dtype=complex)
+            C[ai, bi] = values
+            CE = C @ ew
+        else:  # C would be mostly zeros: form C @ E_beta entry by entry, in blocks
+            CE = np.zeros((len(arows), len(wp)), dtype=complex)
+            for s in range(0, len(values), _ENTRY_BLOCK):
+                e = slice(s, s + _ENTRY_BLOCK)
+                np.add.at(CE, ai[e], values[e, np.newaxis] * ew[bi[e]])
+        acc = np.sum(ez * CE, axis=0)
     return complex(acc[0]) if zs and ws else acc
 
 
@@ -280,14 +339,16 @@ def a2_inner(F: SeriesCoeffs, G: SeriesCoeffs) -> complex:
     """Sesquilinear pairing sum c_F(alpha) conj(c_G(alpha)) (orthonormal e_alpha)."""
     if F.d != G.d:
         raise DimensionMismatch(f"series dimensions differ: {F.d} vs {G.d}")
-    return complex(sum(v * G.entries[k].conjugate() for k, v in F.entries.items() if k in G.entries))
+    g = G.entries
+    return complex(sum(v * g[k].conjugate() for k, v in F.entries.items() if k in g))
 
 
 def a2_bilinear(F: SeriesCoeffs, G: SeriesCoeffs) -> complex:
     """Bilinear pairing sum c_F(alpha) c_G(alpha)."""
     if F.d != G.d:
         raise DimensionMismatch(f"series dimensions differ: {F.d} vs {G.d}")
-    return complex(sum(v * G.entries[k] for k, v in F.entries.items() if k in G.entries))
+    g = G.entries
+    return complex(sum(v * g[k] for k, v in F.entries.items() if k in g))
 
 
 def ladder(F: SeriesCoeffs, j: int, mode: str) -> SeriesCoeffs:

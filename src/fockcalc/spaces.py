@@ -140,6 +140,14 @@ def _exp(x: float) -> float:
         return math.inf
 
 
+def _pow(x: float, p: float) -> float:
+    """x ** p for x >= 0, or +inf where it leaves float range."""
+    try:
+        return x ** p
+    except OverflowError:
+        return math.inf
+
+
 def theta_weight(w: WeightSpec, alpha: Sequence[int]) -> float:
     """Index weight value; may overflow to +inf for extreme parameters by design."""
     return _exp(log_theta_weight(w, alpha))
@@ -175,8 +183,8 @@ def kappa_weight(kind: int, zero_variant: bool, r: float, s: GrowthOrder, z) -> 
         raise PreconditionError(f"kind must be 1 or 2, got {kind}")
     if not (r > 0):
         raise PreconditionError("r must be positive")
-    az = float(np.linalg.norm(np.atleast_1d(np.asarray(z, dtype=complex))))
-    bracket = math.sqrt(1.0 + az * az)
+    az = math.hypot(*np.abs(np.atleast_1d(np.asarray(z, dtype=complex))).tolist())
+    bracket = math.hypot(1.0, az)
 
     if zero_variant and s.kind == "real" and s.value == 0.5:
         return _exp(r * az * az)
@@ -186,16 +194,18 @@ def kappa_weight(kind: int, zero_variant: bool, r: float, s: GrowthOrder, z) -> 
         if sv < 0.5:
             if kind == 2:
                 raise PreconditionError("kind-2 envelope undefined for real orders below 1/2")
-            return _exp(r * math.log(bracket) ** (1.0 / (1.0 - 2.0 * sv)))
-        sign = -1.0 if kind == 1 else 1.0
-        return _exp(0.5 * az * az + sign * r * az ** (1.0 / sv))
+            return _exp(r * _pow(math.log(bracket), 1.0 / (1.0 - 2.0 * sv)))
+        # |z|^2 / 2 -+ r |z|^p with p = 1/s <= 2, as |z|^p (|z|^(2-p) / 2 -+ r): never inf - inf
+        p = 1.0 / sv
+        lead = 0.5 * _pow(az, 2.0 - p) + (-r if kind == 1 else r)
+        return _exp(_pow(az, p) * lead) if lead else 1.0
     if s.kind == "flat":
         sigma = s.value
         if kind == 1:
-            return _exp(r * az ** (2.0 * sigma / (sigma + 1.0)))
+            return _exp(r * _pow(az, 2.0 * sigma / (sigma + 1.0)))
         if sigma <= 1.0:
             raise PreconditionError("kind-2 envelope requires flat order sigma > 1")
-        return _exp(r * az ** (2.0 * sigma / (sigma - 1.0)))
+        return _exp(r * _pow(az, 2.0 * sigma / (sigma - 1.0)))
     if s.kind == "inf":
         expo = -r if kind == 1 else r
         return _exp(0.5 * az * az + expo * math.log(bracket))

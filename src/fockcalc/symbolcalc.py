@@ -74,8 +74,9 @@ def apply_operator(K: KernelCoeffs, F: SeriesCoeffs) -> SeriesCoeffs:
     if K.d1 != F.d:
         raise DimensionMismatch(f"kernel input dimension {K.d1} != series dimension {F.d}")
     out: Dict[MultiIndex, complex] = {}
+    f = F.entries
     for (alpha, beta), kv in K.entries.items():
-        fv = F.entries.get(beta)
+        fv = f.get(beta)
         if fv is not None:
             out[alpha] = out.get(alpha, 0.0) + kv * fv
     return SeriesCoeffs(K.d2, out)

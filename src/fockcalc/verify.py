@@ -50,12 +50,12 @@ def _sup(c: KernelCoeffs) -> float:
 
 
 def _sup_diff(c1: KernelCoeffs, c2: KernelCoeffs, max_degree: int | None = None) -> float:
-    keys = set(c1.entries) | set(c2.entries)
+    e1, e2 = c1.entries, c2.entries
     worst = 0.0
-    for k in keys:
+    for k in set(e1) | set(e2):
         if max_degree is not None and max(total_degree(k[0]), total_degree(k[1])) > max_degree:
             continue
-        worst = max(worst, abs(c1.entries.get(k, 0.0) - c2.entries.get(k, 0.0)))
+        worst = max(worst, abs(e1.get(k, 0.0) - e2.get(k, 0.0)))
     return worst
 
 
@@ -64,7 +64,8 @@ def _l2(c: KernelCoeffs) -> float:
 
 
 def _pairing(c: KernelCoeffs, dker: KernelCoeffs) -> complex:
-    return sum(v * dker.entries[k].conjugate() for k, v in c.entries.items() if k in dker.entries)
+    d = dker.entries
+    return sum(v * d[k].conjugate() for k, v in c.entries.items() if k in d)
 
 
 def _report(suite: str, seed: int, cases: int, max_error: float,
@@ -166,7 +167,7 @@ def suite_identities(seed: int, n_random: int = 60) -> dict:
 def suite_quadrature(seed: int, M: int | None = None) -> dict:
     """Coefficient route against the defining integrals for both orderings."""
     rng = np.random.default_rng(seed)
-    M = M or default_nodes()
+    M = M or default_nodes(2)
     max_err = 0.0
     failures: List[dict] = []
     cases = 0
@@ -197,7 +198,7 @@ def suite_quadrature(seed: int, M: int | None = None) -> dict:
 
 def suite_toeplitz(seed: int, M: int | None = None) -> dict:
     """Phase-space quadrature against the coefficient route, N = 6."""
-    M = M or default_nodes()
+    M = M or default_nodes(2)
     N = 6
     max_err = 0.0
     failures: List[dict] = []
@@ -253,7 +254,7 @@ def suite_bounds(seed: int, n_random: int = 100) -> dict:
 def suite_appendix_b(seed: int, M: int | None = None) -> dict:
     """Rank-one smoothing identity across orders, parameters and random points."""
     rng = np.random.default_rng(seed)
-    M = M or default_nodes()
+    M = M or default_nodes(2)
     max_err = 0.0
     failures: List[dict] = []
     cases = 0

@@ -1,10 +1,12 @@
 import cmath
 import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
-from fockcalc.errors import DimensionMismatch, PreconditionError
+from fockcalc import quadrature
+from fockcalc.errors import DimensionMismatch, DomainError, PreconditionError
 from fockcalc.multiindex import enumerate_degree
 from fockcalc.quadrature import (
     antiwick_apply_quad,
@@ -366,14 +368,120 @@ def test_doubling_nodes_is_stable():
 def test_default_nodes_env_override(monkeypatch):
     monkeypatch.delenv("FOCK_QUAD_NODES", raising=False)
     assert default_nodes() == 64
+    # per number of real axes: the largest M up to 64 within the node budget
+    assert [default_nodes(dims) for dims in (1, 2, 3, 4, 5, 6)] == [64, 64, 64, 32, 16, 10]
     monkeypatch.setenv("FOCK_QUAD_NODES", "32")
     assert default_nodes() == 32
+    assert default_nodes(6) == 32
+    # an override over the budget is refused where the grid is built, naming the M that fits
+    with pytest.raises(PreconditionError, match="at most 10 nodes per axis"):
+        wick_apply_quad(kernel_delta(3, (0, 0, 0), (0, 0, 0)), series_delta(3, (0, 0, 0)), [0.1, 0.2, 0.3])
+    monkeypatch.setenv("FOCK_QUAD_NODES", "33")
+    with pytest.raises(PreconditionError, match="at most 32 nodes per axis"):
+        antiwick_apply_quad(kernel_delta(2, (0, 0), (0, 0)), series_delta(2, (0, 0)), [0.1, 0.2])
     monkeypatch.setenv("FOCK_QUAD_NODES", "1000")
     with pytest.raises(PreconditionError):
         default_nodes()
+    monkeypatch.delenv("FOCK_QUAD_NODES")
+    with pytest.raises(PreconditionError, match="at most 32 nodes per axis"):
+        wick_apply_quad(kernel_delta(2, (0, 0), (0, 0)), series_delta(2, (0, 0)), [0.1, 0.2], M=40)
 
 
 def test_dimension_checks():
     with pytest.raises(DimensionMismatch):
         wick_apply_quad(kernel_delta(1, (0,), (0,)), series_delta(1, (0,)),
                         np.array([1.0 + 0j, 2.0]), M=8)
+
+
+def test_routes_agree_at_default_nodes_in_two_dimensions(monkeypatch):
+    # d = 2 runs with no M given: 32 nodes per axis, 2^20 nodes
+    monkeypatch.delenv("FOCK_QUAD_NODES", raising=False)
+    rng = np.random.default_rng(33)
+    a = random_kernel(rng, 2, 2)
+    F = SeriesCoeffs(2, {k: complex(*rng.standard_normal(2)) for k in enumerate_degree(2, 3)})
+    out = a.support_degree() + F.support_degree()
+    TF = apply_operator(wick_to_kernel(a, out_degree=out), F)
+    TFaw = apply_operator(wick_to_kernel(antiwick_to_wick(a), out_degree=out), F)
+    z = np.array([0.4 - 0.3j, -0.5 + 0.2j])
+    assert abs(wick_apply_quad(a, F, z) - eval_series(TF, z)) < 1e-12
+    assert abs(antiwick_apply_quad(a, F, z) - eval_series(TFaw, z)) < 1e-12
+
+
+def fresh_grid_nodes(M, dims, center, scale):
+    """The nodes as every call built them before grids were cached."""
+    x, _ = np.polynomial.hermite.hermgauss(M)
+    nodes = np.empty((M ** dims, dims))
+    for j in range(dims):
+        nodes[:, j] = center[j] + scale * np.repeat(np.tile(x, M ** j), M ** (dims - 1 - j))
+    return nodes
+
+
+def test_cached_unit_grids(monkeypatch):
+    monkeypatch.setattr(quadrature, "_unit_grids", OrderedDict())
+    for M, dims, center, scale in ((7, 1, [0.3], 1.0), (6, 3, [0.5, -1.25, 2.0], math.sqrt(2)),
+                                   (5, 4, [1e-3, -0.7, 0.1, 3.3], 0.5)):
+        first = gauss_hermite_grid(M, dims, center=center, scale=scale)
+        again = gauss_hermite_grid(M, dims, center=center, scale=scale)
+        assert again.offsets is first.offsets and again.weights is first.weights
+        for arr in (first.offsets, first.weights, first.flat_weights):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        # recentring adds the centre to the cached offsets: the same nodes, bit for bit
+        assert np.array_equal(first.nodes, fresh_grid_nodes(M, dims, center, scale))
+        assert np.array_equal(np.concatenate([x for x, _, _ in first.blocks()]), first.nodes)
+    assert len(quadrature._unit_grids) == 3
+
+
+def test_unit_grid_cache_byte_bound(monkeypatch):
+    monkeypatch.setattr(quadrature, "_unit_grids", OrderedDict())
+    monkeypatch.setattr(quadrature, "GRID_CACHE_BYTES", 40_000)   # 1000 nodes at d = 3 take 40,000 B
+
+    def held():
+        return sum(a.nbytes for g in quadrature._unit_grids.values() for a in g)
+
+    for M in (4, 5, 6, 7, 8, 9, 10, 5):
+        g = complex_grid(M, 1)
+        assert held() <= quadrature.GRID_CACHE_BYTES
+        assert abs(integrate_gaussian_c(lambda z: np.ones(z.shape[0]), 1, g) - 1.0) < 1e-14
+    assert list(quadrature._unit_grids)[-1] == (5, 2, 1.0)
+    big = gauss_hermite_grid(11, 3)   # 53,240 B: built, used and not kept
+    assert (11, 3, 1.0) not in quadrature._unit_grids and held() <= quadrature.GRID_CACHE_BYTES
+    assert abs(big.integrate_weighted(lambda x: np.ones(len(x))) - math.pi ** 1.5) < 1e-12
+    gauss_hermite_grid(10, 3)   # exactly the bound: everything else goes
+    assert list(quadrature._unit_grids) == [(10, 3, 1.0)]
+
+
+def test_blocked_integrals_match_one_block(monkeypatch):
+    # an odd block of 37 nodes splits every grid unevenly
+    rng = np.random.default_rng(34)
+    a1, a2 = random_kernel(rng, 2, 2), random_kernel(rng, 2, 2)
+    F = SeriesCoeffs(2, {k: complex(*rng.standard_normal(2)) for k in enumerate_degree(2, 2)})
+    z, w = np.array([0.3 + 0.1j, -0.2j]), np.array([-0.4, 0.1 + 0.5j])
+    f = lambda y: hermite_eval((2,), y) + 0.5 * hermite_eval((1,), y)
+    calls = {
+        "wick": lambda: wick_apply_quad(a1, F, z, M=6),
+        "antiwick": lambda: antiwick_apply_quad(a1, F, z, M=6),
+        "berezin": lambda: berezin_transform_quad(a1, z, w, M=6),
+        "twisted": lambda: twisted_product_quad(a1, a2, z, w, M=6),
+        "rank one": lambda: rank_one_check((2, 1), (1, 2), 0.5 + 0.3j, z, w, M=6)["lhs"],
+        "bargmann": lambda: bargmann_quad(f, 0.3 - 0.2j, M=64),
+        "stft": lambda: stft_gaussian_quad(f, 0.4, -0.9, M=64),
+        "toeplitz": lambda: toeplitz_matrix_quad(lambda x, xi: x[:, 0] ** 2 - xi[:, 0] + 0.5, 5, M=12, d=2).matrix,
+        "weighted": lambda: gauss_hermite_grid(9, 2).integrate_weighted(lambda x: np.cos(x[:, 0]) * x[:, 1] ** 2),
+    }
+    monkeypatch.setattr(quadrature, "QUAD_BLOCK", 10 ** 6)
+    whole = {name: call() for name, call in calls.items()}
+    monkeypatch.setattr(quadrature, "QUAD_BLOCK", 37)
+    for name, call in calls.items():
+        got = call()
+        assert np.max(np.abs(got - whole[name])) <= 1e-14 * max(1.0, np.max(np.abs(whole[name]))), name
+
+
+def test_every_block_is_checked_for_finite_values(monkeypatch):
+    # 16 nodes in blocks of 5: the largest node, the only NaN, is alone in the last block
+    monkeypatch.setattr(quadrature, "QUAD_BLOCK", 5)
+    top = gauss_hermite_grid(16, 1, center=[0.4], scale=math.sqrt(2)).nodes.max()
+    assert len(list(gauss_hermite_grid(16, 1).blocks())) == 4
+    with pytest.raises(DomainError):
+        stft_gaussian_quad(lambda y: np.where(y[:, 0] == top, np.nan, 1.0), 0.4, 0.2, M=16)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fockcalc.binomial import s0
 from fockcalc.errors import DimensionMismatch
 from fockcalc.multiindex import enumerate_degree, multi_factorial
 from fockcalc.quadrature import gauss_hermite_grid
@@ -22,6 +23,11 @@ from fockcalc.series import (
     multiply,
     series_delta,
 )
+
+
+def random_kernel(rng, d, degree):
+    idx = enumerate_degree(d, degree)
+    return KernelCoeffs(d, d, {(a, b): complex(*rng.standard_normal(2)) for a in idx for b in idx})
 
 
 def random_series(rng, d, degree):
@@ -79,6 +85,109 @@ def test_eval_kernel_values():
 def test_eval_dim_mismatch():
     with pytest.raises(DimensionMismatch):
         eval_series(series_delta(2, (1, 0)), 1.0 + 0j)
+
+
+def eval_series_reference(F, z):
+    """Per-entry sum of eval_basis, the evaluation the power tables replace."""
+    return sum((v * eval_basis(a, z) for a, v in F.entries.items()), 0j * eval_basis((0,) * F.d, z))
+
+
+def eval_kernel_reference(K, z, w):
+    """Per-entry sum of eval_basis products, z and w broadcast over points."""
+    zero = 0j * eval_basis((0,) * K.d2, z) * eval_basis((0,) * K.d1, w)
+    return sum((v * eval_basis(a, z) * eval_basis(b, np.conj(w)) for (a, b), v in K.entries.items()), zero)
+
+
+def random_sparse_kernel(rng, d, degree, n_entries):
+    idx = enumerate_degree(d, degree)
+    picks = rng.integers(len(idx), size=(n_entries, 2))
+    return KernelCoeffs(d, d, {(idx[i], idx[j]): complex(*rng.standard_normal(2)) for i, j in picks})
+
+
+def random_points(rng, d, n, radius=1.3):
+    return rng.uniform(-radius, radius, (n, d)) + 1j * rng.uniform(-radius, radius, (n, d))
+
+
+@pytest.mark.parametrize("d, degree", [(1, 9), (2, 5), (3, 3)])
+def test_eval_matches_per_entry_reference(d, degree):
+    rng = np.random.default_rng(60 + d)
+    kernels = [random_kernel(rng, d, degree), random_sparse_kernel(rng, d, degree, 7),
+               KernelCoeffs(d, d, {((degree,) + (0,) * (d - 1), (0,) * (d - 1) + (degree,)): 0.5j})]
+    series = [random_series(rng, d, degree), SeriesCoeffs(d, {(1,) * d: 2.0, (degree,) * d: -1j})]
+    many, other = random_points(rng, d, 37), random_points(rng, d, 37)
+    one, single = many[:1], many[0]
+    for F in series:
+        for z in (many, one, single):
+            got, ref = eval_series(F, z), eval_series_reference(F, z)
+            assert np.shape(got) == np.shape(ref)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+    for K in kernels:
+        # same point counts, a one-point array or a single point on either side
+        for z, w in ((many, other), (many, many), (one, other), (many, one), (single, other),
+                     (many, single), (single, single), (one, one)):
+            got, ref = eval_kernel(K, z, w), eval_kernel_reference(K, z, w)
+            assert np.shape(got) == np.shape(ref)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+
+def test_eval_kernel_sparse_matrix_is_summed_by_entries():
+    # 80 diagonal entries with 80 distinct rows each way: a dense coefficient matrix would hold
+    # 6400 values for 80 entries, so C @ E_beta is formed entry by entry instead
+    rng = np.random.default_rng(64)
+    K = KernelCoeffs(1, 1, {((k,), (k,)): complex(*rng.standard_normal(2)) for k in range(80)})
+    pts, other = random_points(rng, 1, 50, 0.9), random_points(rng, 1, 50, 0.9)
+    for z, w in ((pts, other), (pts, pts)):
+        ref = eval_kernel_reference(K, z, w)
+        assert np.max(np.abs(eval_kernel(K, z, w) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_eval_empty_containers():
+    pts = np.array([[0.5 + 1j, 2.0], [1.0, -1j]])
+    assert eval_series(SeriesCoeffs(2, {}), pts[0]) == 0.0
+    assert np.array_equal(eval_series(SeriesCoeffs(2, {}), pts), np.zeros(2))
+    assert np.array_equal(eval_kernel(KernelCoeffs(2, 2, {}), pts, pts[0]), np.zeros(2))
+    assert eval_kernel(KernelCoeffs(2, 2, {}), pts[0], pts[1]) == 0.0
+
+
+def test_eval_point_count_mismatch():
+    K = kernel_delta(1, (1,), (1,))
+    with pytest.raises(DimensionMismatch):
+        eval_kernel(K, np.ones(3), np.ones(4))
+
+
+@pytest.mark.parametrize("degree", [171, 300])
+def test_eval_beyond_float_factorial(degree):
+    # degree! leaves float range; the tables never form it
+    mpmath = pytest.importorskip("mpmath")
+    F = SeriesCoeffs(1, {(degree,): 1.0, (degree - 1,): -0.5j, (0,): 1.0})
+    K = KernelCoeffs(1, 1, {((degree,), (degree - 2,)): 1.0, ((1,), (degree,)): 2.0})
+    phases = np.array([0.0, 0.7, -1.6, 3.0])
+    z, w = 1.1 * np.exp(1j * phases), 0.9 * np.exp(-2j * phases)
+
+    def e(k, x):
+        return mpmath.mpc(x) ** k / mpmath.sqrt(mpmath.factorial(k))
+
+    with mpmath.workdps(40):
+        f_ref = [complex(e(degree, x) - 0.5j * e(degree - 1, x) + 1) for x in z]
+        k_ref = [complex(e(degree, x) * e(degree - 2, y.conjugate()) + 2 * e(1, x) * e(degree, y.conjugate()))
+                 for x, y in zip(z, w)]
+    # complex products lose about eps per degree, as eval_basis does
+    for got, ref in ((eval_series(F, z), f_ref), (eval_kernel(K, z, w), k_ref)):
+        for v, r in zip(got, ref):
+            assert abs(v - r) <= 1e-15 * degree * max(1.0, abs(r))
+
+
+def test_entries_are_read_only():
+    c = KernelCoeffs(1, 1, {((1,), (1,)): 1.0})
+    c.arrays()
+    with pytest.raises(TypeError):
+        c.entries[((2,), (0,))] = 1.0
+    out = s0(c)
+    with pytest.raises(TypeError):
+        out.entries[((1,), (1,))] = 5.0
+    assert len(out) == len(out.entries) == 1
+    with pytest.raises(TypeError):
+        series_delta(1, (2,)).entries[(0,)] = 1.0
 
 
 # --- products and pairings ---------------------------------------------------

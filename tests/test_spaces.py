@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -110,6 +111,25 @@ def test_kappa_overflow_is_inf():
     # exp(900) and exp(800) / sqrt(1601) leave float range, as theta and omega weights may
     assert kappa_weight(1, True, 1.0, GO.real(0.5), 30.0) == math.inf
     assert kappa_weight(1, False, 1.0, GO.infinity(), 40.0) == math.inf
+
+
+@pytest.mark.parametrize("kind, zero, r, order, z, expect", [
+    (1, False, 1.0, GO.real(0.5), 1e200, 0.0),        # (1/2 - r) |z|^2 -> -inf
+    (1, False, 1.0, GO.real(0.5), [1e200, -1e200j], 0.0),
+    (2, False, 1.0, GO.real(0.5), 1e200, math.inf),
+    (1, False, 0.5, GO.real(0.5), 1e200, 1.0),        # the exponent is exactly 0
+    (1, False, 1.0, GO.real(1), 1e200, math.inf),
+    (1, False, 1.0, GO.real(0.499), 1e200, math.inf),
+    (1, False, 1.0, GO.flat(10), 1e200, math.inf),
+    (2, False, 1.0, GO.flat(2), 1e200, math.inf),
+    (1, False, 1.0, GO.infinity(), 1e200, math.inf),
+    (1, True, 1.0, GO.real(0.5), 1e200, math.inf),
+])
+def test_kappa_at_huge_points(kind, zero, r, order, z, expect):
+    # |z|^2 leaves float range past about 1.3e154; the envelope is +inf, 0 or finite, never NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert kappa_weight(kind, zero, r, order, z) == expect
 
 
 def test_kappa_unsupported_combinations():
