@@ -4,8 +4,8 @@ Subcommands: ``transform`` (coefficient-level symbol/kernel conversions),
 ``apply`` (kernel action on a series), ``verify`` (named identity suites
 with JSON reports) and ``classify`` (space-hierarchy diagnostics).
 
-Exit codes: 0 success, 1 verification failure, 2 I/O, schema or flag-value
-error, 3 dimension mismatch, 4 precondition failure or arithmetic overflow.
+Exit codes: 0 success, 1 verification failure, 2 I/O or schema error,
+3 dimension mismatch, 4 precondition failure or arithmetic overflow.
 Errors are emitted as a machine-readable JSON object on stderr.
 """
 
@@ -18,7 +18,6 @@ from typing import Sequence
 
 from .binomial import s0, t0, t0_star
 from .errors import DimensionMismatch, DomainError, PreconditionError, SchemaError
-from .quadrature import MAX_NODES
 from .serialize import load_coeffs, save_coeffs
 from .series import KernelCoeffs
 from .spaces import GrowthOrder, SpaceSpec, classify
@@ -100,9 +99,7 @@ def cmd_apply(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.nodes is not None and not 2 <= args.nodes <= MAX_NODES:
-        return _emit_error(EXIT_SCHEMA, "usage", f"--nodes must lie in [2, {MAX_NODES}], got {args.nodes}")
-    report = run_suite(args.suite, args.seed, M=args.nodes)
+    report = run_suite(args.suite, args.seed)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)
@@ -157,8 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True, choices=SUITES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report", default=None, help="path for the JSON report")
-    p.add_argument("--nodes", type=int, default=None,
-                   help=f"quadrature nodes per axis, 2..{MAX_NODES} (default: FOCK_QUAD_NODES, else 64)")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("classify", help="space-hierarchy diagnostic for a kernel file")

@@ -9,8 +9,10 @@ on R^(2d): z = w = 0 is the Gaussian measure itself, w = 0 operator
 application (grid recentered at u = z), and general (z, w) the smoothing,
 composition and rank-one integrals (recentered at (z + w)/2).  The
 real-space transforms recenter at sqrt(2) Re z and at x.  The rules
-integrate the polynomial parts exactly and leave only entire-function
-remainders far below test tolerances.
+integrate the polynomial parts exactly and leave the remainder of an
+entire function.  At the default M it is about 1e-14 at d = 1 and d = 2; at
+d = 3 the 10-node rule leaves up to about 1e-10 on anti-Wick applications
+of order-10 values (Wick applications about 3e-13).
 
 Grids hold at most MAX_GRID_NODES = 2^20 nodes, checked before anything is
 allocated: M^(2d) nodes means d = 1 takes any M, d = 2 needs M <= 32 and
@@ -43,10 +45,11 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 from .errors import DimensionMismatch, DomainError, PreconditionError
-from .multiindex import MultiIndex, enumerate_degree, multi_binomial, total_degree, validate_index
+from .multiindex import enumerate_degree, multi_binomial, total_degree, validate_index
 from .series import (
     KernelCoeffs,
     SeriesCoeffs,
+    _basis_rows,
     eval_basis,
     eval_kernel,
     eval_series,
@@ -64,13 +67,8 @@ NODES_ENV_VAR = "FOCK_QUAD_NODES"
 
 
 def _max_nodes(dims: int) -> int:
-    """The largest M with M^dims <= MAX_GRID_NODES."""
-    fit = int(MAX_GRID_NODES ** (1.0 / dims))  # the float root may be off by one either way
-    while fit ** dims > MAX_GRID_NODES:
-        fit -= 1
-    while (fit + 1) ** dims <= MAX_GRID_NODES:
-        fit += 1
-    return fit
+    """The largest M with M^dims <= MAX_GRID_NODES (1 where no M >= 2 fits)."""
+    return max((m for m in range(2, MAX_NODES + 1) if m ** dims <= MAX_GRID_NODES), default=1)
 
 
 def default_nodes(dims: int = 1) -> int:
@@ -417,18 +415,15 @@ def uv_inv(F: Callable, x, xi) -> complex:
     return pref * cmath.exp(-0.5j * float(np.dot(xv, xiv))) * complex(F(z))
 
 
-def _stft_basis_values(index: Sequence[MultiIndex], xs: np.ndarray, xis: np.ndarray) -> np.ndarray:
-    """Closed-form window transforms of the Hermite basis on phase-space points."""
+def _stft_basis_values(rows: np.ndarray, xs: np.ndarray, xis: np.ndarray) -> np.ndarray:
+    """Closed-form window transforms of the Hermite basis, one multi-index per row
+    of ``rows``, on phase-space points."""
     d = xs.shape[-1]
-    n = xs.shape[0]
     pref = (2.0 * math.pi) ** (-d / 2.0) * np.exp(
         -0.25 * (np.sum(xs * xs, axis=-1) + np.sum(xis * xis, axis=-1))
     ) * np.exp(-0.5j * np.sum(xs * xis, axis=-1))
     zpts = (xs - 1j * xis) / math.sqrt(2.0)
-    vals = np.empty((len(index), n), dtype=complex)
-    for i, alpha in enumerate(index):
-        vals[i] = pref * eval_basis(alpha, zpts)
-    return vals
+    return pref * _basis_rows(rows, rows.max(axis=0).tolist(), zpts)
 
 
 def toeplitz_matrix_quad(symbol: Callable, N: int, M: int | None = None, d: int = 1) -> OperatorMatrix:
@@ -442,10 +437,11 @@ def toeplitz_matrix_quad(symbol: Callable, N: int, M: int | None = None, d: int 
         raise PreconditionError(f"toeplitz quadrature limited to d <= {MAX_COMPLEX_DIM}")
     grid = gauss_hermite_grid(M or default_nodes(2 * d), 2 * d, scale=math.sqrt(2.0))
     index = enumerate_degree(d, N)
+    rows = np.array(index)
     mat = np.zeros((len(index), len(index)), dtype=complex)
     for nodes, _, flat in grid.blocks():
         xs, xis = nodes[:, :d], nodes[:, d:]
-        V = _stft_basis_values(index, xs, xis)
+        V = _stft_basis_values(rows, xs, xis)
         sym = _check_finite(np.asarray(symbol(xs, xis), dtype=complex))
         mat += (V * (flat * sym)[np.newaxis, :]) @ V.conj().T
     return OperatorMatrix(N, d, index, mat.T)

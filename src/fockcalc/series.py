@@ -34,8 +34,7 @@ LADDER_MULTIPLY = "multiply"
 LADDER_DIFFERENTIATE = "differentiate"
 
 _INT64_SPAN = 2 ** 63
-_DENSE_MIN = 4096      # eval_kernel forms the dense coefficient matrix up to this size or 4x the entries
-_ENTRY_BLOCK = 64      # entries per block where it does not
+_BLOCK_VALUES = 4096   # eval_kernel sums entries in blocks of at most this many entry-point values
 
 
 def _pack(cols: np.ndarray, radix: int) -> tuple[List[np.ndarray], List[tuple[int, int]]]:
@@ -269,26 +268,21 @@ def _basis_rows(rows: np.ndarray, tops: List[int], pts: np.ndarray) -> np.ndarra
     return np.ones((len(rows), len(pts)), dtype=complex) if out is None else out
 
 
-def _fold(inverse: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
-    """Sum the complex values x into n bins by their row numbers."""
-    return np.bincount(inverse, x.real, n) + 1j * np.bincount(inverse, x.imag, n)
-
-
 def eval_series(F: SeriesCoeffs, z) -> complex | np.ndarray:
     """sum c(alpha) e_alpha(z), from per-axis power tables and one contraction."""
     pts, single = _as_points(z, F.d)
-    _, values = F.arrays()
-    ((rows, inv, tops),) = F._distinct()
-    acc = _fold(inv, values, len(rows)) @ _basis_rows(rows, tops, pts)
+    index, values = F.arrays()
+    acc = values @ _basis_rows(index, index.max(axis=0, initial=0).tolist(), pts)
     return complex(acc[0]) if single else acc
 
 
 def eval_kernel(K: KernelCoeffs, z, w) -> complex | np.ndarray:
     """sum c(alpha, beta) e_alpha(z) e_beta(conj(w)); z and w broadcast over points.
 
-    One contraction over the distinct alphas and betas,
-    sum(E_alpha(z) * (C @ E_beta(conj w)), axis=0); a one-point side is folded
-    into the coefficients first, so it stays one row.
+    The basis values come from per-axis power tables over the distinct alphas
+    and betas.  The entries are summed in blocks that hold at most
+    _BLOCK_VALUES entry-point values (one entry at least): 64 KB temporaries,
+    which the allocator reuses instead of mapping fresh pages for each.
     """
     zp, zs = _as_points(z, K.d2)
     wp, ws = _as_points(w, K.d1)
@@ -297,21 +291,12 @@ def eval_kernel(K: KernelCoeffs, z, w) -> complex | np.ndarray:
     _, values = K.arrays()
     (arows, ai, atops), (brows, bi, btops) = K._distinct()
     ez, ew = _basis_rows(arows, atops, zp), _basis_rows(brows, btops, np.conj(wp))
-    if len(zp) == 1:
-        acc = _fold(bi, values * ez[ai, 0], len(brows)) @ ew
-    elif len(wp) == 1:
-        acc = _fold(ai, values * ew[bi, 0], len(arows)) @ ez
-    else:
-        if len(arows) * len(brows) <= max(4 * len(values), _DENSE_MIN):
-            C = np.zeros((len(arows), len(brows)), dtype=complex)
-            C[ai, bi] = values
-            CE = C @ ew
-        else:  # C would be mostly zeros: form C @ E_beta entry by entry, in blocks
-            CE = np.zeros((len(arows), len(wp)), dtype=complex)
-            for s in range(0, len(values), _ENTRY_BLOCK):
-                e = slice(s, s + _ENTRY_BLOCK)
-                np.add.at(CE, ai[e], values[e, np.newaxis] * ew[bi[e]])
-        acc = np.sum(ez * CE, axis=0)
+    n = max(len(zp), len(wp))
+    step = max(1, _BLOCK_VALUES // n)
+    acc = np.zeros(n, dtype=complex)
+    for s in range(0, len(values), step):
+        e = slice(s, s + step)
+        acc += values[e] @ (ez[ai[e]] * ew[bi[e]])
     return complex(acc[0]) if zs and ws else acc
 
 

@@ -202,35 +202,12 @@ def test_verify_failure_exit_code(monkeypatch, tmp_path, capsys):
                "tolerance": 1e-10, "pass": False,
                "failures": [{"check": "synthetic", "error": 1.0}],
                "generated_at": "x"}
-    monkeypatch.setattr(cli, "run_suite", lambda name, seed, M=None: failing)
+    monkeypatch.setattr(cli, "run_suite", lambda name, seed: failing)
     rep = tmp_path / "r.json"
     assert main(["verify", "--suite", "identities", "--report", str(rep)]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "synthetic" in out
     assert json.loads(rep.read_text())["pass"] is False
-
-
-def test_verify_nodes_flag(monkeypatch, files, capsys):
-    import fockcalc.cli as cli
-
-    seen = []
-    real = cli.run_suite
-    monkeypatch.setattr(cli, "run_suite", lambda name, seed, M=None: seen.append(M) or real(name, seed, M=M))
-    rep = files["tmp"] / "r.json"
-    assert run("verify", "--suite", "quadrature", "--seed", "2", "--nodes", "48", "--report", rep) == 0
-    assert seen == [48] and json.loads(rep.read_text())["pass"] is True
-    assert run("verify", "--suite", "bounds", "--seed", "1") == 0
-    assert seen == [48, None]
-    capsys.readouterr()
-
-
-@pytest.mark.parametrize("nodes", ["1", "257", "1000", "-3"])
-def test_verify_nodes_out_of_range(files, capsys, nodes):
-    assert run("verify", "--suite", "quadrature", "--nodes", nodes) == 2
-    captured = capsys.readouterr()
-    err = json.loads(captured.err)["error"]
-    assert err["code"] == 2 and err["kind"] == "usage" and nodes in err["message"]
-    assert captured.out == ""
 
 
 # --- classify --------------------------------------------------------------------

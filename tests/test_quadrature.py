@@ -407,6 +407,21 @@ def test_routes_agree_at_default_nodes_in_two_dimensions(monkeypatch):
     assert abs(antiwick_apply_quad(a, F, z) - eval_series(TFaw, z)) < 1e-12
 
 
+def test_antiwick_accuracy_at_default_nodes_in_three_dimensions(monkeypatch):
+    # d = 3 runs with no M given: 10 nodes per axis, 10^6 nodes.  The 10-node rule
+    # leaves about 1e-11 to 1.4e-10 on anti-Wick values of order 10, against about
+    # 1e-14 at d = 1 and d = 2
+    monkeypatch.delenv("FOCK_QUAD_NODES", raising=False)
+    rng = np.random.default_rng(34)
+    a = random_kernel(rng, 3, 2)
+    F = SeriesCoeffs(3, {k: complex(*rng.standard_normal(2)) for k in enumerate_degree(3, 3)})
+    aw = antiwick_to_wick(a)
+    TFaw = apply_operator(wick_to_kernel(aw, out_degree=aw.support_degree() + F.support_degree()), F)
+    z = np.array([0.4 - 0.3j, -0.5 + 0.2j, 0.1 + 0.3j])
+    err = abs(antiwick_apply_quad(a, F, z) - eval_series(TFaw, z))
+    assert err < 1e-9
+
+
 def fresh_grid_nodes(M, dims, center, scale):
     """The nodes as every call built them before grids were cached."""
     x, _ = np.polynomial.hermite.hermgauss(M)

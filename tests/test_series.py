@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fockcalc import series
 from fockcalc.binomial import s0
 from fockcalc.errors import DimensionMismatch
 from fockcalc.multiindex import enumerate_degree, multi_factorial
@@ -130,13 +131,13 @@ def test_eval_matches_per_entry_reference(d, degree):
             assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
 
 
-def test_eval_kernel_sparse_matrix_is_summed_by_entries():
-    # 80 diagonal entries with 80 distinct rows each way: a dense coefficient matrix would hold
-    # 6400 values for 80 entries, so C @ E_beta is formed entry by entry instead
+def test_eval_kernel_entry_blocks_match_reference(monkeypatch):
+    # 80 entries on 50 points summed in blocks of 7: eleven full blocks and a partial last one
+    monkeypatch.setattr(series, "_BLOCK_VALUES", 7 * 50 + 3)
     rng = np.random.default_rng(64)
     K = KernelCoeffs(1, 1, {((k,), (k,)): complex(*rng.standard_normal(2)) for k in range(80)})
     pts, other = random_points(rng, 1, 50, 0.9), random_points(rng, 1, 50, 0.9)
-    for z, w in ((pts, other), (pts, pts)):
+    for z, w in ((pts, other), (pts, pts), (pts[0], other), (pts, other[0])):
         ref = eval_kernel_reference(K, z, w)
         assert np.max(np.abs(eval_kernel(K, z, w) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
