@@ -12,6 +12,7 @@ Errors are emitted as a machine-readable JSON object on stderr.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 from typing import Sequence
@@ -30,24 +31,27 @@ EXIT_SCHEMA = 2
 EXIT_DIMENSION = 3
 EXIT_PRECONDITION = 4
 
-TRANSFORM_OPS = (
-    "wick-to-kernel",
-    "kernel-to-wick",
-    "antiwick-to-wick",
-    "wick-to-antiwick",
-    "t0",
-    "t0star",
-    "s0",
-)
+# op -> (needs --t, call(c, t, out_degree)); each lambda looks its function up
+# when called, so a replaced module attribute (a tracing wrapper) is the one run
+TRANSFORMS = {
+    "wick-to-kernel": (False, lambda c, t, deg: wick_to_kernel(c, out_degree=deg)),
+    "kernel-to-wick": (False, lambda c, t, deg: kernel_to_wick(c, out_degree=deg)),
+    "antiwick-to-wick": (False, lambda c, t, deg: antiwick_to_wick(c)),
+    "wick-to-antiwick": (False, lambda c, t, deg: wick_to_antiwick(c)),
+    "t0": (True, lambda c, t, deg: t0(c, t, out_degree=deg)),
+    "t0star": (True, lambda c, t, deg: t0_star(c, t)),
+    "s0": (False, lambda c, t, deg: s0(c)),
+}
 
 
 def _parse_complex(text: str) -> complex:
     parts = text.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise ValueError(f"cannot parse complex flag {text!r}; expected 're' or 're,im'")
+    if len(parts) > 2:
+        raise ValueError(f"cannot parse complex flag {text!r}; expected 're' or 're,im'")
+    value = complex(*(float(p) for p in parts))
+    if not cmath.isfinite(value):
+        raise ValueError(f"--t must be finite, got {text!r}")
+    return value
 
 
 def _emit_error(code: int, kind: str, message: str) -> int:
@@ -65,26 +69,10 @@ def _require_kernel(c) -> KernelCoeffs:
 def cmd_transform(args: argparse.Namespace) -> int:
     c = _require_kernel(load_coeffs(args.input))
     t = _parse_complex(args.t) if args.t is not None else None
-    deg = args.out_degree
-    if args.op == "wick-to-kernel":
-        out = wick_to_kernel(c, out_degree=deg)
-    elif args.op == "kernel-to-wick":
-        out = kernel_to_wick(c, out_degree=deg)
-    elif args.op == "antiwick-to-wick":
-        out = antiwick_to_wick(c)
-    elif args.op == "wick-to-antiwick":
-        out = wick_to_antiwick(c)
-    elif args.op == "t0":
-        if t is None:
-            raise PreconditionError("--t is required for op t0")
-        out = t0(c, t, out_degree=deg)
-    elif args.op == "t0star":
-        if t is None:
-            raise PreconditionError("--t is required for op t0star")
-        out = t0_star(c, t)
-    else:
-        out = s0(c)
-    save_coeffs(out, args.output)
+    needs_t, call = TRANSFORMS[args.op]
+    if needs_t and t is None:
+        raise PreconditionError(f"--t is required for op {args.op}")
+    save_coeffs(call(c, t, args.out_degree), args.output)
     return EXIT_OK
 
 
@@ -139,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transform", help="apply a symbol/kernel transition to a coefficient file")
     p.add_argument("--input", "-i", required=True)
     p.add_argument("--output", "-o", required=True)
-    p.add_argument("--op", required=True, choices=TRANSFORM_OPS)
+    p.add_argument("--op", required=True, choices=TRANSFORMS)
     p.add_argument("--t", default=None, help="complex flag 're' or 're,im' (e.g. '0.5,0.3')")
     p.add_argument("--out-degree", type=int, default=None)
     p.set_defaults(fn=cmd_transform)

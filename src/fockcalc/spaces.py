@@ -35,8 +35,8 @@ class GrowthOrder:
         if kind not in ("zero", "real", "flat", "inf"):
             raise ValueError(f"unknown growth order kind {kind!r}")
         if kind in ("real", "flat"):
-            if value is None or not (value > 0):
-                raise ValueError(f"{kind} order requires a positive parameter")
+            if value is None or not 0 < value < math.inf:
+                raise ValueError(f"{kind} order requires a finite positive parameter")
             value = float(value)
         else:
             value = None
@@ -394,8 +394,8 @@ def classify(c: KernelCoeffs, space: SpaceSpec, r_grid: Sequence[float]) -> Diag
     verdict unchanged.
     """
     grid = sorted(float(r) for r in r_grid)
-    if not grid or grid[0] <= 0:
-        raise PreconditionError("r_grid must be a non-empty list of positive radii")
+    if not grid or not all(0 < r < math.inf for r in grid):
+        raise PreconditionError("r_grid must be a non-empty list of finite positive radii")
     truncation = c.support_degree()
     if not len(c):
         return DiagnosticReport(space, truncation, grid, {}, "Consistent")

@@ -290,3 +290,63 @@ def test_overflow_exit_code(tmp_path, capsys):
     assert err["error"]["code"] == 4
     assert err["error"]["kind"] == "arithmetic"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", ["nan", "inf", "1,inf", "2,-inf"])
+def test_classify_rejects_radii_that_are_not_finite(files, capsys, grid):
+    assert run("classify", "--input", files["fact"], "--family", "Adual", "--s1", "flat:1",
+               "--r-grid", grid) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"]["code"] == 4 and err["error"]["kind"] == "precondition"
+
+
+@pytest.mark.parametrize("order", ["real:inf", "flat:inf", "real:1e400", "flat:nan"])
+def test_classify_rejects_growth_orders_that_are_not_finite(files, capsys, order):
+    assert run("classify", "--input", files["fact"], "--family", "Adual", "--s1", order) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["kind"] == "precondition"
+
+
+@pytest.mark.parametrize("t", ["nan", "inf", "1,-inf", "nan,0"])
+def test_transform_rejects_t_that_is_not_finite(files, capsys, t):
+    out = files["tmp"] / "x.json"
+    assert run("transform", "--input", files["d11"], "--output", out, "--op", "t0", "--t", t) == 4
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["kind"] == "precondition" and "--t" in err["message"]
+    assert not out.exists()
+
+
+def test_transform_ops_are_looked_up_when_run(files, monkeypatch):
+    # a replaced module attribute (a tracing wrapper, say) is the function that runs
+    import fockcalc.cli as cli
+
+    calls = []
+    original = cli.t0_star
+    monkeypatch.setattr(cli, "t0_star", lambda c, t: calls.append(t) or original(c, t))
+    out = files["tmp"] / "ts.json"
+    assert run("transform", "--input", files["d11"], "--output", out, "--op", "t0star", "--t", "0.5,0.3") == 0
+    assert calls == [0.5 + 0.3j]
+
+
+def test_verify_failing_suite_report(monkeypatch, tmp_path, capsys):
+    # a real suite whose checks fail: exit 1, and each failing case carries its tolerance
+    import fockcalc.verify as verify
+
+    original = verify.toeplitz_matrix_quad
+
+    def perturbed(*args, **kwargs):
+        out = original(*args, **kwargs)
+        out.matrix[0, 0] += 1e-3
+        return out
+
+    monkeypatch.setattr(verify, "toeplitz_matrix_quad", perturbed)
+    rep = tmp_path / "r.json"
+    assert run("verify", "--suite", "toeplitz", "--report", rep) == 1
+    assert "FAIL" in capsys.readouterr().out
+    doc = json.loads(rep.read_text())
+    assert doc["pass"] is False and doc["cases"] == 3
+    assert [f["check"] for f in doc["failures"]] == ["toeplitz unit", "toeplitz quadratic", "toeplitz identity"]
+    assert all(f["tolerance"] == 1e-6 and abs(f["error"] - 1e-3) < 1e-9 for f in doc["failures"])

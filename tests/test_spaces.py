@@ -43,6 +43,13 @@ def test_growth_order_parse_roundtrip():
         GO.parse("quadratic:2")
 
 
+@pytest.mark.parametrize("text", ["real:inf", "flat:inf", "real:1e400", "flat:-inf", "real:nan", "flat:nan"])
+def test_growth_order_parse_rejects_values_that_are_not_finite(text):
+    # real and flat parameters lie in (0, inf); infinity is its own kind, "inf"
+    with pytest.raises(ValueError):
+        GO.parse(text)
+
+
 # --- theta -------------------------------------------------------------------
 
 def test_theta_values():
@@ -175,6 +182,13 @@ GRID = [1.0, 2.0, 4.0]
 
 def factorial_diagonal(power, n=8):
     return KernelCoeffs(1, 1, {((k,), (k,)): float(math.factorial(k)) ** power for k in range(n + 1)})
+
+
+@pytest.mark.parametrize("grid", [[math.nan], [math.inf], [1.0, math.inf], [1.0, 2.0, math.nan], [-math.inf, 2.0]])
+def test_classify_rejects_radii_that_are_not_finite(grid):
+    space = SpaceSpec("Adual", GO.flat(1), GO.flat(1))
+    with pytest.raises(PreconditionError):
+        classify(factorial_diagonal(1), space, grid)
 
 
 def test_classify_delta_consistent():
