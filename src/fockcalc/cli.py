@@ -4,8 +4,8 @@ Subcommands: ``transform`` (coefficient-level symbol/kernel conversions),
 ``apply`` (kernel action on a series), ``verify`` (named identity suites
 with JSON reports) and ``classify`` (space-hierarchy diagnostics).
 
-Exit codes: 0 success, 1 verification failure, 2 I/O or schema error,
-3 dimension mismatch, 4 precondition failure or arithmetic overflow.
+Exit codes: 0 success, 1 verification failure, 2 I/O, schema or argument
+error, 3 dimension mismatch, 4 precondition failure or arithmetic overflow.
 Errors are emitted as a machine-readable JSON object on stderr.
 """
 
@@ -116,8 +116,17 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors become SchemaError, which main reports as one JSON
+    error object (exit 2) in place of argparse's usage text; subcommand
+    parsers are made from the same class."""
+
+    def error(self, message: str):
+        raise SchemaError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fockcalc",
         description="Coefficient-level operator calculus: conversions, composition, "
                     "diagnostics and numerical verification suites.",
@@ -157,9 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except SchemaError as exc:
         return _emit_error(EXIT_SCHEMA, "schema", str(exc))

@@ -67,8 +67,12 @@ NODES_ENV_VAR = "FOCK_QUAD_NODES"
 
 
 def _max_nodes(dims: int) -> int:
-    """The largest M with M^dims <= MAX_GRID_NODES (1 where no M >= 2 fits)."""
-    return max((m for m in range(2, MAX_NODES + 1) if m ** dims <= MAX_GRID_NODES), default=1)
+    """The largest M up to MAX_NODES with M^dims <= MAX_GRID_NODES (1 where no M >= 2 fits)."""
+    # the rounded float root is the answer or one above it
+    m = min(MAX_NODES, round(MAX_GRID_NODES ** (1 / dims)))
+    while m > 1 and m ** dims > MAX_GRID_NODES:
+        m -= 1
+    return m
 
 
 def default_nodes(dims: int = 1) -> int:

@@ -5,8 +5,8 @@ Power series are stored against the normalized monomial basis
 ``e_alpha(z) e_beta(conj(w))``, i.e. analytic in the first argument and
 conjugate-analytic in the second.  Containers are immutable sparse maps, held
 as a dict or as arrays; only this module converts between the two.  Public
-constructors validate every entry; engines read ``arrays()`` and return
-``KernelCoeffs._from_arrays``.
+constructors validate every entry; engines read ``arrays()`` and, like the
+file reader, which checks its entries as arrays, return ``_from_arrays``.
 """
 
 from __future__ import annotations
@@ -106,6 +106,24 @@ class _Coeffs:
                 self._rows.append((rows, inv.reshape(-1), rows.max(axis=0, initial=0).tolist()))
         return self._rows
 
+    @classmethod
+    def _from_arrays(cls, *args):
+        """Container over arrays built from validated inputs, called as
+        ``_from_arrays(*dims, index, values)`` with the dimensions named in
+        ``_DIMS``; the rows of ``index`` are distinct.  Exact zeros are dropped,
+        and a value past float range raises OverflowError."""
+        *dims, index, values = args
+        if not np.isfinite(values).all():
+            raise OverflowError("coefficient out of float range")
+        keep = values != 0
+        if not keep.all():
+            index, values = index[keep], values[keep]
+        out = cls.__new__(cls)
+        for name, dim in zip(cls._DIMS, dims):
+            setattr(out, name, dim)
+        out._entries, out._index, out._values, out._rows = None, index, values, None
+        return out
+
     def support_degree(self) -> int:
         """Largest total degree of a multi-index in the support (0 when empty)."""
         index, _ = self.arrays()
@@ -173,20 +191,6 @@ class KernelCoeffs(_Coeffs):
             if cv != 0:
                 clean[(a, b)] = cv
         self._entries, self._index, self._rows = clean, None, None
-
-    @classmethod
-    def _from_arrays(cls, d2: int, d1: int, index: np.ndarray, values: np.ndarray) -> "KernelCoeffs":
-        """Kernel over arrays that an engine built from validated inputs; the rows
-        of ``index`` are distinct.  Exact zeros are dropped, and a value past
-        float range raises OverflowError."""
-        if not np.isfinite(values).all():
-            raise OverflowError("kernel coefficient out of float range")
-        keep = values != 0
-        if not keep.all():
-            index, values = index[keep], values[keep]
-        out = cls.__new__(cls)
-        out.d2, out.d1, out._entries, out._index, out._values, out._rows = d2, d1, None, index, values, None
-        return out
 
     @property
     def d(self) -> int:

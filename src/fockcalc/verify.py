@@ -199,13 +199,13 @@ def suite_toeplitz(seed: int) -> dict:
         "unit": (lambda x, xi: np.ones(x.shape[0]), kernel_delta(1, (0,), (0,))),
         "quadratic": (lambda x, xi: (x[:, 0] ** 2 + xi[:, 0] ** 2) / 2.0, kernel_delta(1, (1,), (1,))),
     }
+    quad = {}
     for name, (fn, a) in symbols.items():
-        quad = toeplitz_matrix_quad(fn, N, M=M, d=1)
+        quad[name] = toeplitz_matrix_quad(fn, N, M=M, d=1).matrix
         K = wick_to_kernel(antiwick_to_wick(a), out_degree=N)
         coeff = operator_matrix(K, N)
-        record(float(np.max(np.abs(quad.matrix - coeff.matrix))), check=f"toeplitz {name}")
-    unit = toeplitz_matrix_quad(symbols["unit"][0], N, M=M, d=1).matrix
-    record(float(np.max(np.abs(unit - np.eye(N + 1)))), check="toeplitz identity")
+        record(float(np.max(np.abs(quad[name] - coeff.matrix))), check=f"toeplitz {name}")
+    record(float(np.max(np.abs(quad["unit"] - np.eye(N + 1)))), check="toeplitz identity")
     return record.report()
 
 

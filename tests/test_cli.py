@@ -1,13 +1,16 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from fockcalc import serialize
 from fockcalc.binomial import t0
 from fockcalc.cli import main
+from fockcalc.multiindex import enumerate_degree
 from fockcalc.serialize import coeffs_from_jsonable, coeffs_to_jsonable, load_coeffs, save_coeffs
 from fockcalc.errors import SchemaError
-from fockcalc.series import KernelCoeffs, kernel_delta, series_delta
+from fockcalc.series import KernelCoeffs, SeriesCoeffs, kernel_delta, series_delta
 from fockcalc.symbolcalc import identity_kernel
 
 
@@ -89,6 +92,97 @@ def test_canonical_entry_order():
     alphas = [tuple(e["alpha"]) for e in doc["entries"]]
     assert alphas == [(0,), (1,), (2,)]
 
+
+
+def reference_text(c) -> str:
+    """The file text by json.dump(indent=2), the document built entry by entry."""
+    if isinstance(c, KernelCoeffs):
+        head, split = {"kind": "kernel", "d2": c.d2, "d1": c.d1}, lambda k: (("alpha", k[0]), ("beta", k[1]))
+    else:
+        head, split = {"kind": "series", "d": c.d}, lambda k: (("alpha", k),)
+    keys = sorted(c.entries, key=lambda k: [(sum(p), p) for _, p in split(k)])
+    degree = max((sum(p) for k in keys for _, p in split(k)), default=0)
+    # x + 0.0 writes -0.0 as 0.0
+    entries = [{**{name: list(p) for name, p in split(k)}, "re": c.entries[k].real + 0.0,
+                "im": c.entries[k].imag + 0.0} for k in keys]
+    return json.dumps({**head, "max_degree": degree, "entries": entries}, indent=2) + "\n"
+
+
+def random_coeffs(seed, dims, degree, count):
+    rng = np.random.default_rng(seed)
+    parts = [[i for k in range(degree + 1) for i in enumerate_degree(d, k)] for d in dims]
+    entries = {}
+    while len(entries) < count:
+        key = tuple(p[rng.integers(len(p))] for p in parts)
+        entries[key if len(key) > 1 else key[0]] = complex(*rng.standard_normal(2) * 10.0 ** rng.integers(-5, 6))
+    return SeriesCoeffs(*dims, entries) if len(dims) == 1 else KernelCoeffs(*dims, entries)
+
+
+SPECIAL = {((0,), (0,)): complex(-0.0, 1.0), ((1,), (0,)): complex(5e-324, -1e308),
+           ((0,), (2,)): complex(3.0, -2.0), ((1,), (1,)): complex(1e308, -0.0), ((2,), (2,)): 7.0}
+
+
+@pytest.mark.parametrize("c", [
+    random_coeffs(1, (1,), 6, 5), random_coeffs(2, (2,), 5, 12), random_coeffs(3, (3,), 4, 20),
+    random_coeffs(4, (1, 1), 6, 15), random_coeffs(5, (2, 2), 4, 40), random_coeffs(6, (3, 3), 3, 60),
+    random_coeffs(7, (2, 1), 5, 25), SeriesCoeffs(2), KernelCoeffs(2, 1), KernelCoeffs(1, 1, SPECIAL),
+], ids=["s1", "s2", "s3", "k11", "k22", "k33", "k21", "empty-series", "empty-kernel", "special-values"])
+@pytest.mark.parametrize("block", [1024, 3, 5])
+def test_writer_is_byte_identical_to_json_dump(tmp_path, monkeypatch, c, block):
+    # a block size of 3 or 5 makes several write blocks, some with a short last one
+    monkeypatch.setattr(serialize, "_BLOCK", block)
+    p = tmp_path / "c.json"
+    save_coeffs(c, p)
+    assert p.read_text(encoding="utf-8") == reference_text(c)
+    assert coeffs_to_jsonable(c) == json.loads(reference_text(c))
+    assert load_coeffs(p).entries == c.entries
+
+
+SERIES = {"kind": "series", "d": 2, "max_degree": 3}
+KERNEL = {"kind": "kernel", "d2": 1, "d1": 2, "max_degree": 3}
+
+
+@pytest.mark.parametrize("head, entries, message", [
+    (SERIES, [{"alpha": [True, 0]}], "alpha entries must be non-negative integers, got [True, 0]"),
+    (SERIES, [{"alpha": [1.0, 0]}], "alpha entries must be non-negative integers, got [1.0, 0]"),
+    (SERIES, [{"alpha": [-1, 0]}], "alpha entries must be non-negative integers, got [-1, 0]"),
+    (SERIES, [{"alpha": []}], "alpha must be a non-empty list of integers"),
+    (SERIES, [{"alpha": [1, 0, 0]}], "alpha [1, 0, 0] has dimension 3, expected 2"),
+    (SERIES, [{"alpha": 1}], "alpha must be a non-empty list of integers"),
+    (SERIES, [{"re": 1.0}], "alpha must be a non-empty list of integers"),
+    (KERNEL, [{"alpha": [0], "beta": [0]}], "beta [0] has dimension 1, expected 2"),
+    (SERIES, [{"alpha": [2 ** 70, 0]}], f"alpha [{2 ** 70}, 0] exceeds declared max_degree 3"),
+    ({**SERIES, "max_degree": 2 ** 80}, [{"alpha": [2 ** 70, 0]}], "alpha components must be below 2**63"),
+    (SERIES, [{"alpha": [2, 2]}], "alpha [2, 2] exceeds declared max_degree 3"),
+    (SERIES, [{"alpha": [1, 0]}, {"alpha": [0, 1]}, {"alpha": [1, 0]}], "duplicate index (1, 0)"),
+    (KERNEL, [{"alpha": [1], "beta": [0, 1]}, {"alpha": [1], "beta": [1, 0]}, {"alpha": [1], "beta": [0, 1]}],
+     "duplicate index ((1,), (0, 1))"),
+    (SERIES, [{"alpha": [0, 0]}, [1, 0]], "entries must be objects"),
+    (SERIES, [{"alpha": [0, 0], "re": "1.0"}], "entry fields 're'/'im' must be finite numbers, got '1.0', 0.0"),
+    # the first offending entry is named
+    (SERIES, [{"alpha": [0, 0]}, {"alpha": [0, -2]}, {"alpha": [-1, 0]}],
+     "alpha entries must be non-negative integers, got [0, -2]"),
+    (SERIES, [{"alpha": [0, 0], "im": 2}, {"alpha": [0, 1], "im": math.inf}, {"alpha": [1, 0], "re": None}],
+     "entry fields 're'/'im' must be finite numbers, got 0.0, inf"),
+])
+def test_schema_rejects_bad_entries(head, entries, message):
+    with pytest.raises(SchemaError) as info:
+        coeffs_from_jsonable({**head, "entries": entries})
+    assert str(info.value) == message
+
+
+def test_reader_drops_zeros_and_keeps_file_order(tmp_path):
+    p = tmp_path / "k.json"
+    p.write_text(json.dumps({"kind": "kernel", "d2": 1, "d1": 1, "max_degree": 3, "entries": [
+        {"alpha": [3], "beta": [0], "re": 2, "im": 0},
+        {"alpha": [0], "beta": [0], "re": 0, "im": 0.0},
+        {"alpha": [1], "beta": [2], "re": -1.5, "im": 1},
+        {"alpha": [0], "beta": [1], "re": 0.0, "im": -0.0},
+        {"alpha": [2], "beta": [1], "im": 0.25},
+    ]}))
+    c = load_coeffs(p)
+    assert list(c.entries.items()) == [(((3,), (0,)), 2 + 0j), (((1,), (2,)), -1.5 + 1j), (((2,), (1,)), 0.25j)]
+    assert len(c) == 3 and c.support_degree() == 3
 
 # --- transform -------------------------------------------------------------------
 
@@ -291,6 +385,27 @@ def test_overflow_exit_code(tmp_path, capsys):
     assert err["error"]["kind"] == "arithmetic"
     assert not out.exists()
 
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "nope"],
+    ["transform", "-i", "a.json", "-o", "b.json", "--op", "s0", "--out-degree", "x"],
+    ["classify", "-i", "a.json", "--family", "A", "--s1", "flat:1", "--r-grid", "-inf,2"],
+])
+def test_argument_errors_are_one_json_error(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)["error"]
+    assert err["code"] == 2 and err["kind"] == "schema" and "argument" in err["message"]
+
+
+def test_help_exits_zero(capsys):
+    for argv in (["--help"], ["transform", "--help"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0
+        assert "usage" in capsys.readouterr().out
 
 @pytest.mark.parametrize("grid", ["nan", "inf", "1,inf", "2,-inf"])
 def test_classify_rejects_radii_that_are_not_finite(files, capsys, grid):

@@ -387,6 +387,12 @@ def test_default_nodes_env_override(monkeypatch):
         wick_apply_quad(kernel_delta(2, (0, 0), (0, 0)), series_delta(2, (0, 0)), [0.1, 0.2], M=40)
 
 
+def test_max_nodes_equals_a_scan_over_every_m():
+    for dims in range(1, 25):
+        scan = max((m for m in range(2, quadrature.MAX_NODES + 1) if m ** dims <= quadrature.MAX_GRID_NODES),
+                   default=1)
+        assert quadrature._max_nodes(dims) == scan
+
 def test_dimension_checks():
     with pytest.raises(DimensionMismatch):
         wick_apply_quad(kernel_delta(1, (0,), (0,)), series_delta(1, (0,)),

@@ -64,3 +64,13 @@ def test_suites_are_looked_up_when_run(monkeypatch, name, function):
     # a replaced module attribute (a tracing wrapper, say) is the suite that runs
     monkeypatch.setattr(verify, function, lambda seed: {"replaced": function, "seed": seed})
     assert run_suite(name, 4) == {"replaced": function, "seed": 4}
+
+
+def test_toeplitz_suite_builds_each_matrix_once(monkeypatch):
+    # the identity check reads the unit-symbol matrix of the symbol loop
+    calls = []
+    original = verify.toeplitz_matrix_quad
+    monkeypatch.setattr(verify, "toeplitz_matrix_quad", lambda *a, **k: calls.append(a) or original(*a, **k))
+    rep = run_suite("toeplitz", 0)
+    assert len(calls) == 2
+    assert rep["cases"] == 3 and rep["pass"] is True
