@@ -27,7 +27,7 @@ from typing import List
 
 import numpy as np
 
-from .series import KernelCoeffs, _pack
+from .series import KernelCoeffs, _pack, _runs
 
 DEFAULT_EXTENSION = 8
 
@@ -124,15 +124,11 @@ def _sweep(c: KernelCoeffs, t: complex, out_degree: int | None) -> KernelCoeffs:
         line = list(words)
         line[wa] = line[wa] - low * ma
         line[wb] = line[wb] - low * mb
-        order = np.lexsort(line[::-1])
+        order, new = _runs(line)
         line = [w[order] for w in line]
         aj, bj, low, re, im, deg = (x[order] for x in (aj, bj, low, re, im, deg))
         counts = np.minimum(out_degree - deg if raising else low, g_max) + 1
         np.maximum(counts, 0, out=counts)
-        new = np.zeros(len(order), dtype=bool)
-        new[0] = True
-        for w in line:
-            new[1:] |= w[1:] != w[:-1]
         line_id = new.cumsum() - 1
         starts = np.concatenate((new.nonzero()[0], [len(order)]))
         ends = counts.cumsum()

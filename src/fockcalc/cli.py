@@ -108,11 +108,12 @@ def cmd_classify(args: argparse.Namespace) -> int:
     space = SpaceSpec(args.family, s1, s2)
     grid = [float(x) for x in args.r_grid.split(",") if x.strip()]
     report = classify(c, space, grid)
-    json.dump(report.to_jsonable(), sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    # the file first, so that a path that cannot be written leaves stdout empty
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write("\n".join(report.csv_rows()) + "\n")
+    json.dump(report.to_jsonable(), sys.stdout, indent=2)
+    sys.stdout.write("\n")
     return EXIT_OK
 
 

@@ -101,7 +101,6 @@ class QuadratureGrid:
     blocks of QUAD_BLOCK nodes.
     """
 
-    kind: str
     M: int
     dims: int
     center: np.ndarray
@@ -197,7 +196,7 @@ def gauss_hermite_grid(M: int, dims: int, center: Sequence[float] | None = None,
     c = np.zeros(dims) if center is None else np.asarray(center, dtype=float)
     if c.shape != (dims,):
         raise DimensionMismatch(f"center of shape {c.shape} does not match dims={dims}")
-    return QuadratureGrid("GaussHermite", M, dims, c, float(scale), *_unit_grid(M, dims, float(scale)))
+    return QuadratureGrid(M, dims, c, float(scale), *_unit_grid(M, dims, float(scale)))
 
 
 # ---------------------------------------------------------------------------
@@ -232,28 +231,19 @@ def complex_grid(M: int, d: int, center: Sequence[complex] | None = None,
     return gauss_hermite_grid(M, 2 * d, c, scale)
 
 
-def _series_fn(F) -> Callable:
-    if isinstance(F, SeriesCoeffs):
-        return lambda w: eval_series(F, w)
-    if callable(F):
-        return F
-    raise TypeError("expected SeriesCoeffs or callable")
+def _as_fn(x, cls: type, evaluate: Callable) -> Callable:
+    """x as a function of the integration points: a ``cls`` container is bound
+    as the first argument of ``evaluate``; a callable is passed through."""
+    if isinstance(x, cls):
+        return lambda *pts: evaluate(x, *pts)
+    if callable(x):
+        return x
+    raise TypeError(f"expected {cls.__name__} or callable")
 
 
-def _kernel_fn(a) -> Callable:
-    if isinstance(a, KernelCoeffs):
-        return lambda z, w: eval_kernel(a, z, w)
-    if callable(a):
-        return a
-    raise TypeError("expected KernelCoeffs or callable")
-
-
-def _diag_fn(a) -> Callable:
-    if isinstance(a, KernelCoeffs):
-        return lambda w: eval_kernel(a, w, w)
-    if callable(a):
-        return a
-    raise TypeError("expected KernelCoeffs or callable")
+def _eval_diag(a: KernelCoeffs, w) -> np.ndarray:
+    """The diagonal values a(w, w)."""
+    return eval_kernel(a, w, w)
 
 
 def _check_finite(vals: np.ndarray) -> np.ndarray:
@@ -311,7 +301,7 @@ def wick_apply_quad(a, F, z, M: int | None = None, d: int | None = None) -> comp
     """
     d = _dim(d, a, F)
     zz = _as_cvector(z, d)
-    af, ff = _kernel_fn(a), _series_fn(F)
+    af, ff = _as_fn(a, KernelCoeffs, eval_kernel), _as_fn(F, SeriesCoeffs, eval_series)
     return _recentred_integral(lambda u: af(zz, u) * np.asarray(ff(u), dtype=complex),
                                d, zz, np.zeros(d), zz, M)
 
@@ -320,7 +310,7 @@ def antiwick_apply_quad(a_diag, F, z, M: int | None = None, d: int | None = None
     """Anti-Wick application: only the diagonal values a(w, w) enter the integrand."""
     d = _dim(d, a_diag, F)
     zz = _as_cvector(z, d)
-    af, ff = _diag_fn(a_diag), _series_fn(F)
+    af, ff = _as_fn(a_diag, KernelCoeffs, _eval_diag), _as_fn(F, SeriesCoeffs, eval_series)
     return _recentred_integral(lambda u: af(u) * np.asarray(ff(u), dtype=complex), d, zz, np.zeros(d), zz, M)
 
 
@@ -333,7 +323,7 @@ def berezin_transform_quad(a_diag, z, w, M: int | None = None, d: int | None = N
     d = _dim(d, a_diag)
     zz = _as_cvector(z, d)
     ww = _as_cvector(w, d)
-    return _recentred_integral(_diag_fn(a_diag), d, zz, ww, (zz + ww) / 2.0, M)
+    return _recentred_integral(_as_fn(a_diag, KernelCoeffs, _eval_diag), d, zz, ww, (zz + ww) / 2.0, M)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +454,7 @@ def twisted_product_quad(a1, a2, z, w, M: int | None = None, d: int | None = Non
     d = _dim(d, a1)
     zz = _as_cvector(z, d)
     ww = _as_cvector(w, d)
-    f1, f2 = _kernel_fn(a1), _kernel_fn(a2)
+    f1, f2 = _as_fn(a1, KernelCoeffs, eval_kernel), _as_fn(a2, KernelCoeffs, eval_kernel)
     return _recentred_integral(lambda u: f1(zz, u) * np.asarray(f2(u, ww), dtype=complex),
                                d, zz, ww, (zz + ww) / 2.0, M)
 

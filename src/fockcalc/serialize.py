@@ -28,7 +28,7 @@ from typing import Iterator, Union
 import numpy as np
 
 from .errors import SchemaError
-from .series import KernelCoeffs, SeriesCoeffs, _pack
+from .series import KernelCoeffs, SeriesCoeffs, _first_seen
 
 Coeffs = Union[SeriesCoeffs, KernelCoeffs]
 
@@ -107,16 +107,9 @@ def coeffs_from_jsonable(doc) -> Coeffs:
     index = np.hstack([_index_column([rec.get(name) for rec in recs], dim, max_degree, name)
                        for name, dim in zip(names, dims)])
 
-    # every component is below the radix, so equal words mean equal keys; the
-    # stable sort puts a key's first entry ahead of its duplicates
-    words, _ = _pack(index, int(index.max(initial=0)) + 1)
-    order = np.lexsort(words)
-    dup = np.ones(max(len(order) - 1, 0), dtype=bool)
-    for w in words:
-        w = w[order]
-        dup &= w[1:] == w[:-1]
-    if dup.any():
-        rec = recs[int(order[1:][dup].min())]
+    dup = np.flatnonzero(_first_seen(index) != np.arange(len(index)))
+    if len(dup):
+        rec = recs[int(dup[0])]
         key = tuple(tuple(rec[name]) for name in names)
         raise SchemaError(f"duplicate index {key if len(key) > 1 else key[0]}")
 

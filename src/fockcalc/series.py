@@ -59,6 +59,29 @@ def _pack(cols: np.ndarray, radix: int) -> tuple[List[np.ndarray], List[tuple[in
     return words, place
 
 
+def _runs(words: List[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Sort keys given as packed int64 words (the first most significant), stably.
+
+    Returns the order and, per sorted position, whether a run of equal keys
+    starts there; the first row of each run comes first in the input.
+    """
+    order = np.lexsort(words[::-1])
+    new = np.zeros(len(order), dtype=bool)
+    new[:1] = True
+    for w in words:
+        w = w[order]
+        new[1:] |= w[1:] != w[:-1]
+    return order, new
+
+
+def _first_seen(rows: np.ndarray) -> np.ndarray:
+    """For each row of a non-negative int array, the position of the first row equal to it."""
+    order, new = _runs(_pack(rows, int(rows.max(initial=0)) + 1)[0])
+    first = np.empty(len(rows), dtype=np.intp)
+    first[order] = order[new][np.cumsum(new) - 1]
+    return first
+
+
 class _Coeffs:
     """Storage shared by both containers: the validated dict, arrays (index, values)
     with one int64 row of key components per entry, or both.  The missing form
@@ -102,7 +125,8 @@ class _Coeffs:
             index, _ = self.arrays()
             self._rows = []
             for s in self._spans():
-                rows, inv = np.unique(index[:, s], axis=0, return_inverse=True)
+                firsts, inv = np.unique(_first_seen(index[:, s]), return_inverse=True)
+                rows = index[firsts, s]
                 self._rows.append((rows, inv.reshape(-1), rows.max(axis=0, initial=0).tolist()))
         return self._rows
 

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 
 from .binomial import l2_r_norm, t0, t0_star
 from .errors import DimensionMismatch, PreconditionError
 from .multiindex import MultiIndex, enumerate_degree
-from .series import KernelCoeffs, SeriesCoeffs
+from .series import KernelCoeffs, SeriesCoeffs, _first_seen
 
 # products formed at once by compose_kernels (one row of K2 may take more)
 COMPOSE_BLOCK = 1 << 13
@@ -70,27 +70,17 @@ def wick_to_antiwick(a: KernelCoeffs) -> KernelCoeffs:
 
 
 def apply_operator(K: KernelCoeffs, F: SeriesCoeffs) -> SeriesCoeffs:
-    """Coefficient action of the kernel operator: out(alpha) = sum_beta c_K(alpha,beta) c_F(beta)."""
+    """Coefficient action of the kernel operator: out(alpha) = sum_beta c_K(alpha,beta) c_F(beta).
+
+    Computed as K composed with F taken as a one-column kernel (delta = 0).
+    """
     if K.d1 != F.d:
         raise DimensionMismatch(f"kernel input dimension {K.d1} != series dimension {F.d}")
-    out: Dict[MultiIndex, complex] = {}
-    f = F.entries
-    for (alpha, beta), kv in K.entries.items():
-        fv = f.get(beta)
-        if fv is not None:
-            out[alpha] = out.get(alpha, 0.0) + kv * fv
-    return SeriesCoeffs(K.d2, out)
-
-
-def _first_seen(rows: np.ndarray) -> np.ndarray:
-    """For each row of an int array, the position of the first row equal to it."""
-    order = np.lexsort(rows.T[::-1])
-    ordered = rows[order]
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    first = np.empty(len(rows), dtype=np.intp)
-    first[order] = order[new][np.cumsum(new) - 1]  # the sort is stable: a run starts at its first row
-    return first
+    index, values = F.arrays()
+    delta = np.zeros((len(index), 1), dtype=np.int64)
+    column = KernelCoeffs._from_arrays(F.d, 1, np.hstack((index, delta)), values)
+    index, values = compose_kernels(K, column).arrays()
+    return SeriesCoeffs._from_arrays(K.d2, index[:, :K.d2], values)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # values past float range are caught on output

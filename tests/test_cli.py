@@ -323,6 +323,15 @@ def test_classify_inconsistent_with_csv(files, capsys):
     assert len(rows) == 4
 
 
+def test_classify_csv_that_cannot_be_written(files, capsys):
+    csv = files["tmp"] / "missing" / "c.csv"
+    assert run("classify", "--input", files["fact3"], "--family", "Adual",
+               "--s1", "flat:1", "--csv", csv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["kind"] == "io"
+
+
 def test_classify_trivial(files, capsys):
     d00 = files["tmp"] / "d00.json"
     save_coeffs(kernel_delta(1, (0,), (0,)), d00)

@@ -352,3 +352,32 @@ def test_hermite_high_degree_stable():
     grid = gauss_hermite_grid(96, 1)
     val = grid.integrate(lambda y: hermite_eval((64,), y) ** 2)
     assert abs(val - 1.0) < 1e-10
+
+
+def first_seen_reference(rows):
+    """The first equal row of each row, from a lexsort over every column."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    first = np.empty(len(rows), dtype=np.intp)
+    first[order] = order[new][np.cumsum(new) - 1]
+    return first
+
+
+def test_first_seen_matches_column_lexsort():
+    rng = np.random.default_rng(5)
+    cases = [rng.integers(0, top, size=(n, cols)) for n, cols, top in
+             ((1, 1, 1), (50, 1, 4), (200, 2, 5), (300, 4, 3), (500, 6, 8))]
+    # d = 6 kernel keys of degree up to 65: twelve columns pack into two words
+    keys = rng.integers(0, 66, size=(400, 12))
+    keys[-1] = 65
+    keys[::7] = keys[3]
+    assert len(series._pack(keys, 66)[0]) == 2
+    cases.append(keys)
+    near = (1 << 62) - rng.integers(0, 3, size=(100, 3))
+    cases.append(near)
+    cases.append(np.zeros((0, 3), dtype=np.int64))
+    for rows in cases:
+        rows = rows.astype(np.int64)
+        assert series._first_seen(rows).tolist() == first_seen_reference(rows).tolist()

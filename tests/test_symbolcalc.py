@@ -389,3 +389,55 @@ def test_t0_bound_constant_values():
     assert abs(t0_bound_constant(1.0, 3.0, 2) - 9.0) < 1e-14
     with pytest.raises(PreconditionError):
         t0_bound_constant(1.0, 2.0, 1)
+
+
+def apply_reference(K, F):
+    """Dict loop over K's entries, each matched against F's coefficient at its beta."""
+    out = {}
+    f = F.entries
+    for (alpha, beta), kv in K.entries.items():
+        fv = f.get(beta)
+        if fv is not None:
+            out[alpha] = out.get(alpha, 0.0) + kv * fv
+    return SeriesCoeffs(K.d2, out)
+
+
+def random_series_over(rng, d, degree, keep=1.0):
+    return SeriesCoeffs(d, {
+        a: complex(rng.standard_normal(), rng.standard_normal())
+        for a in enumerate_degree(d, degree) if rng.random() < keep
+    })
+
+
+@pytest.mark.parametrize("block", [16, symbolcalc.COMPOSE_BLOCK])
+def test_apply_matches_loop_reference(monkeypatch, block):
+    monkeypatch.setattr(symbolcalc, "COMPOSE_BLOCK", block)
+    rng = np.random.default_rng(47)
+    cases = []
+    for d, degree in ((1, 12), (2, 5), (3, 3)):
+        # F covers part of K's betas and has keys above K's degree
+        cases.append((random_kernel(rng, d, degree), random_series_over(rng, d, degree + 2, keep=0.6)))
+        for n_entries in (5, 40, 300):
+            cases.append((random_sparse_kernel(rng, d, degree, n_entries),
+                          random_series_over(rng, d, degree, keep=0.5)))
+        cases.append((random_kernel(rng, d, 2), SeriesCoeffs(d)))
+    idx2, idx1 = enumerate_degree(2, 4), enumerate_degree(1, 6)
+    rectangular = KernelCoeffs(2, 1, {
+        (idx2[i], idx1[j]): complex(rng.standard_normal(), rng.standard_normal())
+        for i, j in zip(rng.integers(len(idx2), size=40), rng.integers(len(idx1), size=40))
+    })
+    cases.append((rectangular, random_series_over(rng, 1, 8, keep=0.7)))
+    for K, F in cases:
+        out, ref = apply_operator(K, F), apply_reference(K, F)
+        assert out.d == ref.d
+        (oi, ov), (ri, rv) = out.arrays(), ref.arrays()
+        # bit for bit, in entry order
+        assert np.array_equal(oi, ri)
+        assert ov.view(np.int64).tolist() == rv.view(np.int64).tolist()
+        assert all(type(x) is int for a in out.entries for x in a)
+
+
+def test_apply_value_overflow_raises_overflow_error():
+    K = KernelCoeffs(1, 1, {((0,), (0,)): 1e200})
+    with pytest.raises(OverflowError):
+        apply_operator(K, SeriesCoeffs(1, {(0,): 1e200}))
