@@ -27,6 +27,7 @@ from typing import List
 
 import numpy as np
 
+from .errors import PreconditionError
 from .series import KernelCoeffs, _pack, _runs
 
 DEFAULT_EXTENSION = 8
@@ -181,11 +182,13 @@ def t0(c: KernelCoeffs, t: complex, out_degree: int | None = None) -> KernelCoef
 
     The output has unbounded support in general, so entries are retained for
     |alpha|, |beta| <= out_degree (default: input support degree plus
-    DEFAULT_EXTENSION).  Each retained entry only involves lower-degree
-    inputs and is therefore exact.
+    DEFAULT_EXTENSION); a negative out_degree is a PreconditionError.  Each
+    retained entry only involves lower-degree inputs and is therefore exact.
     """
     if out_degree is None:
         out_degree = c.support_degree() + DEFAULT_EXTENSION
+    elif out_degree < 0:
+        raise PreconditionError(f"out_degree must be >= 0, got {out_degree}")
     return _sweep(c, t, out_degree)
 
 

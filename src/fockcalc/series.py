@@ -5,8 +5,9 @@ Power series are stored against the normalized monomial basis
 ``e_alpha(z) e_beta(conj(w))``, i.e. analytic in the first argument and
 conjugate-analytic in the second.  Containers are immutable sparse maps, held
 as a dict or as arrays; only this module converts between the two.  Public
-constructors validate every entry; engines read ``arrays()`` and, like the
-file reader, which checks its entries as arrays, return ``_from_arrays``.
+constructors validate every entry, over all entries at once like the file
+reader, and hold the result as arrays; engines read ``arrays()`` and return
+``_from_arrays``.
 """
 
 from __future__ import annotations
@@ -139,14 +140,50 @@ class _Coeffs:
         *dims, index, values = args
         if not np.isfinite(values).all():
             raise OverflowError("coefficient out of float range")
-        keep = values != 0
-        if not keep.all():
-            index, values = index[keep], values[keep]
         out = cls.__new__(cls)
         for name, dim in zip(cls._DIMS, dims):
             setattr(out, name, dim)
-        out._entries, out._index, out._values, out._rows = None, index, values, None
+        out._set_arrays(index, values)
         return out
+
+    def _set_arrays(self, index: np.ndarray, values: np.ndarray) -> None:
+        """Hold (index, values), finite and with distinct rows, exact zeros dropped."""
+        keep = values != 0
+        if not keep.all():
+            index, values = index[keep], values[keep]
+        self._entries, self._index, self._values, self._rows = None, index, values, None
+
+    def _bulk(self, entries) -> bool:
+        """Hold ``entries`` as arrays if every entry passes the constructor's
+        checks, tested over all entries at once: each key is a tuple (of tuples,
+        one per multi-index) of exact ints, of the right lengths, within int64
+        and non-negative; each value is an int, float or complex, and finite.
+
+        Returns False, holding nothing, when a test fails; the constructor's
+        per-entry loop then names the first offending entry, or accepts what
+        only it takes (numpy scalars, int subclasses, strings such as "1+2j").
+        """
+        if not isinstance(entries, Mapping):
+            return False
+        dims = [getattr(self, name) for name in self._DIMS]
+        n, width, indices = len(entries), sum(dims), entries.keys()
+        if len(dims) > 1:
+            if not (set(map(type, indices)) <= {tuple} and set(map(len, indices)) <= {len(dims)}):
+                return False
+            indices = list(chain.from_iterable(indices))
+        if not (set(map(type, indices)) <= {tuple} and list(map(len, indices)) == dims * n
+                and set(map(type, chain.from_iterable(indices))) <= {int}
+                and set(map(type, entries.values())) <= {int, float, complex}):
+            return False
+        try:
+            index = np.fromiter(chain.from_iterable(indices), np.int64, count=n * width)
+            values = np.fromiter(entries.values(), complex, count=n)
+        except OverflowError:  # a component past int64, or an int past float range
+            return False
+        if index.min(initial=0) < 0 or not np.isfinite(values).all():
+            return False
+        self._set_arrays(index.reshape(n, width), values)
+        return True
 
     def support_degree(self) -> int:
         """Largest total degree of a multi-index in the support (0 when empty)."""
@@ -171,8 +208,11 @@ class SeriesCoeffs(_Coeffs):
         if d < 1:
             raise ValueError("dimension d must be >= 1")
         self.d = d
+        entries = entries or {}
+        if self._bulk(entries):
+            return
         clean: Dict[MultiIndex, complex] = {}
-        for alpha, v in (entries or {}).items():
+        for alpha, v in entries.items():
             idx = validate_index(alpha)
             if len(idx) != d:
                 raise DimensionMismatch(f"index {idx} has dimension {len(idx)}, expected {d}")
@@ -201,8 +241,11 @@ class KernelCoeffs(_Coeffs):
             raise ValueError("dimensions must be >= 1")
         self.d2 = d2
         self.d1 = d1
+        entries = entries or {}
+        if self._bulk(entries):
+            return
         clean: Dict[KernelKey, complex] = {}
-        for (alpha, beta), v in (entries or {}).items():
+        for (alpha, beta), v in entries.items():
             a = validate_index(alpha)
             b = validate_index(beta)
             if len(a) != d2 or len(b) != d1:

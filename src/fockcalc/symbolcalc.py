@@ -49,6 +49,8 @@ def wick_to_kernel(a: KernelCoeffs, out_degree: int | None = None) -> KernelCoef
     Defaults to the symbol's own support degree; pass out_degree = N to fill
     an operator matrix of truncation N (entries are exact either way).
     """
+    if out_degree is not None and out_degree < 0:
+        raise PreconditionError(f"out_degree must be >= 0, got {out_degree}")
     deg = max(a.support_degree(), out_degree or 0)
     return t0(a, 1.0, out_degree=deg)
 
@@ -152,7 +154,9 @@ def twisted_product(a1: KernelCoeffs, a2: KernelCoeffs, out_degree: int | None =
     the shared index, lower back.  The internal kernel degree is padded so
     that every retained output entry is exact; the exact product of
     polynomial symbols is again polynomial, with degree at most the sum of
-    the factor degrees.
+    the factor degrees.  The lowering reads only entries with |alpha| and
+    |delta| <= target, so K1's rows and K2's columns above target are dropped
+    before the product; the kept entries' sums, and their order, do not change.
     """
     d = a1.d
     if a2.d != d:
@@ -160,22 +164,30 @@ def twisted_product(a1: KernelCoeffs, a2: KernelCoeffs, out_degree: int | None =
     deg1, deg2 = a1.support_degree(), a2.support_degree()
     target = deg1 + deg2 if out_degree is None else out_degree
     inner = target + max(deg1, deg2)
-    K1 = t0(a1, 1.0, out_degree=inner)
-    K2 = t0(a2, 1.0, out_degree=inner)
+    K1 = _up_to(t0(a1, 1.0, out_degree=inner), slice(None, d), target)
+    K2 = _up_to(t0(a2, 1.0, out_degree=inner), slice(d, None), target)
     return t0(compose_kernels(K1, K2), -1.0, out_degree=target)
+
+
+def _up_to(K: KernelCoeffs, part: slice, degree: int) -> KernelCoeffs:
+    """The entries of K whose multi-index in the columns ``part`` has degree <= degree."""
+    index, values = K.arrays()
+    keep = index[:, part].sum(axis=1) <= degree
+    return KernelCoeffs._from_arrays(K.d2, K.d1, index[keep], values[keep])
 
 
 def operator_matrix(K: KernelCoeffs, N: int) -> OperatorMatrix:
     """Dense coefficient matrix M(alpha, beta) = c_K(alpha, beta) over degree <= N."""
     d = K.d
     index = enumerate_degree(d, N)
-    pos = {a: i for i, a in enumerate(index)}
-    m = np.zeros((len(index), len(index)), dtype=complex)
-    for (alpha, beta), v in K.entries.items():
-        i = pos.get(alpha)
-        j = pos.get(beta)
-        if i is not None and j is not None:
-            m[i, j] = v
+    keys, values = K.arrays()
+    n, size = len(keys), len(index)
+    # a row equal to a basis row is numbered by its place in the basis, any other by size or more
+    pos = _first_seen(np.concatenate((np.array(index, dtype=np.int64), keys[:, :d], keys[:, d:])))
+    i, j = pos[size:size + n], pos[size + n:]
+    inside = (i < size) & (j < size)
+    m = np.zeros((size, size), dtype=complex)
+    m[i[inside], j[inside]] = values[inside]
     return OperatorMatrix(N, d, index, m)
 
 
@@ -186,7 +198,7 @@ def psd_check(M: OperatorMatrix, tol: float) -> dict:
     is a self-adjoint eigensolver applied, so truncation cannot produce false
     negatives beyond tolerance.
     """
-    if tol < 0:
+    if not tol >= 0:  # NaN too
         raise ValueError("tol must be non-negative")
     m = M.matrix
     herm_dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0

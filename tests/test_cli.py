@@ -474,3 +474,13 @@ def test_verify_failing_suite_report(monkeypatch, tmp_path, capsys):
     assert doc["pass"] is False and doc["cases"] == 3
     assert [f["check"] for f in doc["failures"]] == ["toeplitz unit", "toeplitz quadratic", "toeplitz identity"]
     assert all(f["tolerance"] == 1e-6 and abs(f["error"] - 1e-3) < 1e-9 for f in doc["failures"])
+
+
+@pytest.mark.parametrize("op", ["t0", "wick-to-kernel", "kernel-to-wick"])
+def test_negative_out_degree_exits_4(files, capsys, op):
+    out = files["tmp"] / "x.json"
+    assert run("transform", "--input", files["d11"], "--output", out, "--op", op,
+               "--t", "1", "--out-degree", "-1") == 4
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["code"] == 4 and err["kind"] == "precondition" and "out_degree" in err["message"]
+    assert not out.exists()

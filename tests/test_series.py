@@ -381,3 +381,87 @@ def test_first_seen_matches_column_lexsort():
     for rows in cases:
         rows = rows.astype(np.int64)
         assert series._first_seen(rows).tolist() == first_seen_reference(rows).tolist()
+
+
+# --- constructors: the bulk test and the per-entry loop ------------------------
+
+def _same_container(c1, c2):
+    (i1, v1), (i2, v2) = c1.arrays(), c2.arrays()
+    assert i1.tolist() == i2.tolist() and v1.tobytes() == v2.tobytes()
+    assert list(c1.entries.items()) == list(c2.entries.items())
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_constructor_paths_agree(d):
+    rng = np.random.default_rng(40 + d)
+    idx = enumerate_degree(d, 3)
+    for _ in range(3):
+        kernel = {(idx[i], idx[j]): complex(*rng.standard_normal(2))
+                  for i, j in rng.integers(len(idx), size=(40, 2))}
+        kernel[(idx[0], idx[-1])] = 0j  # an exact zero, dropped on both paths
+        plain = KernelCoeffs(d, d, kernel)
+        assert plain._index is not None  # taken as arrays at once
+        scalars = KernelCoeffs(d, d, {k: np.complex128(v) for k, v in kernel.items()})
+        assert scalars._index is None  # numpy scalars take the loop
+        _same_container(plain, scalars)
+        values = {idx[i]: complex(*rng.standard_normal(2)) for i in rng.integers(len(idx), size=12)}
+        plain = SeriesCoeffs(d, values)
+        assert plain._index is not None
+        scalars = SeriesCoeffs(d, {k: np.complex128(v) for k, v in values.items()})
+        assert scalars._index is None
+        _same_container(plain, scalars)
+
+
+def _outcome(build):
+    """The container's entries as text (which shows value types and signed zeros), or its error."""
+    try:
+        c = build()
+    except Exception as exc:  # the error itself is the outcome compared
+        return type(exc), str(exc)
+    return repr(list(c.entries.items()))
+
+
+@pytest.mark.parametrize("d,entries", [
+    (1, {(True,): 1.0}),
+    (2, {(0, 1): 1.0, (1, -1): 2.0, (-1, 0): 3.0}),
+    (1, {(2 ** 70,): 1.0}),
+    (2, {(0, 1): 1.0, (1,): 2.0, (0, 0, 0): 3.0}),
+    (1, {(0,): 1.0, (1,): float("nan"), (2,): float("inf")}),
+    (1, {(0,): 10 ** 400}),
+    (1, {(0,): 2 ** 53 + 1, (1,): -(2 ** 70) - 1, (2,): 3}),
+    (1, {(0,): -0.0, (1,): complex(0.0, -0.0), (2,): complex(1.0, -0.0), (3,): 0}),
+    (1, {(0,): 1, (1,): True, (2,): np.float64(0.5), (3,): "1+2j"}),
+    (2, {}),
+])
+def test_constructor_edge_cases_match_the_loop(monkeypatch, d, entries):
+    kernel = {(k, k): v for k, v in entries.items()}
+    bulk = [_outcome(lambda: SeriesCoeffs(d, entries)), _outcome(lambda: KernelCoeffs(d, d, kernel))]
+    # every constructor now takes its per-entry loop
+    monkeypatch.setattr(series._Coeffs, "_bulk", lambda self, entries: False)
+    loop = [_outcome(lambda: SeriesCoeffs(d, entries)), _outcome(lambda: KernelCoeffs(d, d, kernel))]
+    assert bulk == loop
+
+
+def test_constructor_errors_name_the_first_offending_entry():
+    with pytest.raises(ValueError, match=r"got \(1, -1\)"):
+        SeriesCoeffs(2, {(0, 1): 1.0, (1, -1): 2.0, (-1, 0): 3.0})
+    with pytest.raises(DimensionMismatch, match=r"key \(\(0, 1\), \(1,\)\) has dimensions \(2, 1\)"):
+        KernelCoeffs(2, 2, {((0, 0), (0, 0)): 1.0, ((0, 1), (1,)): 2.0})
+    with pytest.raises(ValueError, match=r"non-finite coefficient at \(1,\)"):
+        SeriesCoeffs(1, {(0,): 1.0, (1,): float("nan"), (2,): float("inf")})
+    with pytest.raises(OverflowError):
+        KernelCoeffs(1, 1, {((0,), (0,)): 10 ** 400})
+    with pytest.raises(ValueError, match="non-negative integers"):
+        KernelCoeffs(1, 1, {((True,), (0,)): 1.0})
+    # rectangular kernels check each multi-index against its own dimension
+    K = KernelCoeffs(2, 1, {((0, 1), (2,)): 1.0})
+    assert K._index is not None and K.entries == {((0, 1), (2,)): 1.0}
+    with pytest.raises(DimensionMismatch):
+        KernelCoeffs(1, 2, {((0, 1), (2,)): 1.0})
+
+
+def test_constructor_accepts_a_read_only_view():
+    K = s0(KernelCoeffs(1, 1, {((1,), (2,)): 1.0, ((0,), (0,)): 2.0}))
+    copy = KernelCoeffs(1, 1, K.entries)
+    assert copy._index is not None
+    _same_container(copy, K)

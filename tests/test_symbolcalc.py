@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fockcalc import symbolcalc
+from fockcalc.binomial import t0
 from fockcalc.errors import DimensionMismatch, PreconditionError
 from fockcalc.multiindex import enumerate_degree, total_degree
 from fockcalc.series import (
@@ -261,7 +262,71 @@ def test_twisted_product_associative():
     assert sup_diff(left, right, max_degree=6) < 1e-10 * scale
 
 
+def twisted_unmasked_reference(a1, a2, out_degree=None):
+    """Both symbols raised to the inner degree, composed in full, then lowered."""
+    deg1, deg2 = a1.support_degree(), a2.support_degree()
+    target = deg1 + deg2 if out_degree is None else out_degree
+    inner = target + max(deg1, deg2)
+    raised = compose_kernels(t0(a1, 1.0, out_degree=inner), t0(a2, 1.0, out_degree=inner))
+    return t0(raised, -1.0, out_degree=target)
+
+
+@pytest.mark.parametrize("d,degree", [(1, 4), (2, 2), (3, 1)])
+@pytest.mark.parametrize("keep", [1.0, 0.3])
+def test_twisted_product_equals_unmasked_route_bit_for_bit(d, degree, keep):
+    rng = np.random.default_rng(70 + d)
+    idx = enumerate_degree(d, degree)
+
+    def symbol():
+        return KernelCoeffs(d, d, {(a, b): complex(*rng.standard_normal(2))
+                                   for a in idx for b in idx if rng.uniform() < keep})
+
+    for _ in range(2):
+        a1, a2 = symbol(), symbol()
+        for out_degree in (None, 1, degree, 3 * degree):
+            out = twisted_product(a1, a2, out_degree)
+            (i1, v1), (i2, v2) = out.arrays(), twisted_unmasked_reference(a1, a2, out_degree).arrays()
+            assert i1.tolist() == i2.tolist()
+            assert v1.tobytes() == v2.tobytes()
+
+
+def test_negative_out_degree_is_a_precondition_error():
+    a = kernel_delta(1, (1,), (1,))
+    for call in (lambda: t0(a, 0.5, out_degree=-1), lambda: wick_to_kernel(a, out_degree=-1),
+                 lambda: kernel_to_wick(a, out_degree=-1), lambda: twisted_product(a, a, out_degree=-1)):
+        with pytest.raises(PreconditionError, match="out_degree"):
+            call()
+    # zero stays a valid degree: only the constant entry is kept
+    assert kernel_to_wick(identity_kernel(1, 2), out_degree=0).entries == {((0,), (0,)): 1 + 0j}
+
+
 # --- matrices ---------------------------------------------------------------------
+
+def operator_matrix_reference(K, N):
+    """Dict loop over the kernel's entries, placing those inside the degree-N basis."""
+    index = enumerate_degree(K.d, N)
+    pos = {a: i for i, a in enumerate(index)}
+    m = np.zeros((len(index), len(index)), dtype=complex)
+    for (alpha, beta), v in K.entries.items():
+        if alpha in pos and beta in pos:
+            m[pos[alpha], pos[beta]] = v
+    return m
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_operator_matrix_matches_dict_loop(d):
+    rng = np.random.default_rng(80 + d)
+    for N in (1, 3):
+        # engine outputs with entries above N, on both indices
+        K = wick_to_kernel(random_sparse_kernel(rng, d, 2, 12), out_degree=N + 2)
+        assert K._entries is None and K.support_degree() > N
+        for n in (0, N, N + 3):
+            got = operator_matrix(K, n)
+            assert got.index == enumerate_degree(d, n)
+            assert got.matrix.tobytes() == operator_matrix_reference(K, n).tobytes()
+    empty = KernelCoeffs(d, d)
+    assert operator_matrix(empty, 2).matrix.tobytes() == operator_matrix_reference(empty, 2).tobytes()
+
 
 def test_operator_matrix_identity():
     M = operator_matrix(identity_kernel(1, 4), 4)
@@ -307,6 +372,14 @@ def test_psd_check_examples():
     out = psd_check(OperatorMatrix(2, 1, idx[:3], shift), 1e-12)
     assert not out["hermitian"] and not out["psd"]
     assert math.isnan(out["min_eigenvalue"])
+
+
+@pytest.mark.parametrize("tol", [-1e-12, float("nan"), -math.inf])
+def test_psd_check_rejects_a_tolerance_that_is_not_non_negative(tol):
+    M = operator_matrix(identity_kernel(1, 2), 2)
+    with pytest.raises(ValueError, match="tol must be non-negative"):
+        psd_check(M, tol)
+    assert psd_check(M, math.inf)["psd"]
 
 
 def test_antiwick_positivity():
