@@ -31,16 +31,18 @@ EXIT_SCHEMA = 2
 EXIT_DIMENSION = 3
 EXIT_PRECONDITION = 4
 
-# op -> (needs --t, call(c, t, out_degree)); each lambda looks its function up
-# when called, so a replaced module attribute (a tracing wrapper) is the one run
+# op -> (the options it reads, call(c, t, out_degree)); an op that reads --t
+# needs it, and an option the op does not read is an argument error.  Each
+# lambda looks its function up when called, so a replaced module attribute
+# (a tracing wrapper) is the one run
 TRANSFORMS = {
-    "wick-to-kernel": (False, lambda c, t, deg: wick_to_kernel(c, out_degree=deg)),
-    "kernel-to-wick": (False, lambda c, t, deg: kernel_to_wick(c, out_degree=deg)),
-    "antiwick-to-wick": (False, lambda c, t, deg: antiwick_to_wick(c)),
-    "wick-to-antiwick": (False, lambda c, t, deg: wick_to_antiwick(c)),
-    "t0": (True, lambda c, t, deg: t0(c, t, out_degree=deg)),
-    "t0star": (True, lambda c, t, deg: t0_star(c, t)),
-    "s0": (False, lambda c, t, deg: s0(c)),
+    "wick-to-kernel": (("--out-degree",), lambda c, t, deg: wick_to_kernel(c, out_degree=deg)),
+    "kernel-to-wick": (("--out-degree",), lambda c, t, deg: kernel_to_wick(c, out_degree=deg)),
+    "antiwick-to-wick": ((), lambda c, t, deg: antiwick_to_wick(c)),
+    "wick-to-antiwick": ((), lambda c, t, deg: wick_to_antiwick(c)),
+    "t0": (("--t", "--out-degree"), lambda c, t, deg: t0(c, t, out_degree=deg)),
+    "t0star": (("--t",), lambda c, t, deg: t0_star(c, t)),
+    "s0": ((), lambda c, t, deg: s0(c)),
 }
 
 
@@ -67,10 +69,16 @@ def _require_kernel(c) -> KernelCoeffs:
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
+    reads, call = TRANSFORMS[args.op]
+    # the engines' own out_degree check, made first so that it decides for every op
+    if args.out_degree is not None and args.out_degree < 0:
+        raise PreconditionError(f"out_degree must be >= 0, got {args.out_degree}")
+    for flag, value in (("--t", args.t), ("--out-degree", args.out_degree)):
+        if value is not None and flag not in reads:
+            raise SchemaError(f"op {args.op} does not read {flag}")
     c = _require_kernel(load_coeffs(args.input))
     t = _parse_complex(args.t) if args.t is not None else None
-    needs_t, call = TRANSFORMS[args.op]
-    if needs_t and t is None:
+    if "--t" in reads and t is None:
         raise PreconditionError(f"--t is required for op {args.op}")
     save_coeffs(call(c, t, args.out_degree), args.output)
     return EXIT_OK

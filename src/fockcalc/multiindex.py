@@ -17,14 +17,15 @@ MultiIndex = Tuple[int, ...]
 
 
 def validate_index(alpha: Sequence[int]) -> MultiIndex:
-    """Return ``alpha`` as a tuple after checking entries are non-negative ints."""
+    """Return ``alpha`` as a tuple after checking entries are non-negative ints
+    below 2**63, the range of the int64 arrays that containers hold."""
     idx = tuple(alpha)
     if len(idx) < 1:
         raise ValueError("multi-index must have length >= 1")
     for a in idx:
         # exact ints pass the type test at once; int subclasses other than bool also pass
-        if type(a) is not int and (not isinstance(a, int) or isinstance(a, bool)) or a < 0:
-            raise ValueError(f"multi-index entries must be non-negative integers, got {idx!r}")
+        if type(a) is not int and (not isinstance(a, int) or isinstance(a, bool)) or not 0 <= a < 2 ** 63:
+            raise ValueError(f"multi-index entries must be non-negative integers below 2**63, got {idx!r}")
     return idx
 
 

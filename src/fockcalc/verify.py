@@ -3,7 +3,13 @@
 Each suite runs a deterministic batch of identity checks with a seeded
 generator and returns a JSON-ready report.  Cheap independent oracles are
 built inline (discrete convolutions, closed-form eigenvalues, quadrature)
-so no suite checks an implementation against itself.
+so no suite checks an implementation against itself.  The convolution
+oracle and the comparators (``_sup``, ``_sup_diff``, ``_l2``, ``_pairing``)
+work on the containers' arrays with plain numpy, keys matched through
+``np.ravel_multi_index``; they call nothing from ``binomial``,
+``symbolcalc`` or the engine's row matchers.  ``suite_identities`` and
+``suite_bounds`` compute each transition once per kernel and read it in
+every check that needs it.
 
 Every check goes through one recorder, ``_Checks``: it counts the cases,
 keeps the worst error and lists each failing case with its context, its
@@ -17,12 +23,13 @@ from __future__ import annotations
 
 import datetime
 import math
-from typing import Dict, List
+from itertools import chain
+from typing import List
 
 import numpy as np
 
 from .binomial import l2_r_norm, s0, s0_inv, t0, t0_star
-from .multiindex import enumerate_degree, index_add, log_multi_factorial, total_degree
+from .multiindex import enumerate_degree, log_multi_factorial, total_degree
 from .quadrature import default_nodes, rank_one_check, toeplitz_matrix_quad, wick_apply_quad, antiwick_apply_quad
 from .series import KernelCoeffs, SeriesCoeffs, eval_series, kernel_delta
 from .symbolcalc import (
@@ -33,38 +40,52 @@ from .symbolcalc import (
     wick_to_kernel,
 )
 
+
 def _random_kernel(rng: np.random.Generator, d: int, degree: int) -> KernelCoeffs:
-    idx = enumerate_degree(d, degree)
-    entries = {}
-    for a in idx:
-        for b in idx:
-            entries[(a, b)] = complex(rng.standard_normal(), rng.standard_normal())
-    return KernelCoeffs(d, d, entries)
+    """Dense kernel on |alpha|, |beta| <= degree, alpha-major; each value is a
+    standard normal real part and then imaginary part, from one draw."""
+    idx = np.array(enumerate_degree(d, degree), dtype=np.int64)
+    n = len(idx)
+    index = np.hstack([np.repeat(idx, n, axis=0), np.tile(idx, (n, 1))])
+    return KernelCoeffs._from_arrays(d, d, index, rng.standard_normal(2 * n * n).view(complex))
 
 
 def _random_series(rng: np.random.Generator, d: int, degree: int) -> SeriesCoeffs:
-    return SeriesCoeffs(d, {
-        a: complex(rng.standard_normal(), rng.standard_normal())
-        for a in enumerate_degree(d, degree)
-    })
+    """Dense series on |alpha| <= degree, drawn like ``_random_kernel``."""
+    idx = np.array(enumerate_degree(d, degree), dtype=np.int64)
+    return SeriesCoeffs._from_arrays(d, idx, rng.standard_normal(2 * len(idx)).view(complex))
 
 
+def _matched(c1: KernelCoeffs, c2: KernelCoeffs):
+    """Values of c1 and c2 on their common keys, then on the keys of each alone;
+    keys are numbered in the box that holds both indices."""
+    (i1, v1), (i2, v2) = c1.arrays(), c2.arrays()
+    dims = np.maximum(i1.max(axis=0, initial=0), i2.max(axis=0, initial=0)) + 1
+    k1, k2 = np.ravel_multi_index(i1.T, dims), np.ravel_multi_index(i2.T, dims)
+    _, s1, s2 = np.intersect1d(k1, k2, assume_unique=True, return_indices=True)
+    only1, only2 = np.ones(len(v1), dtype=bool), np.ones(len(v2), dtype=bool)
+    only1[s1] = only2[s2] = False
+    return v1[s1], v2[s2], v1[only1], v2[only2]
+
+
+# _sup and _sup_diff take Python's abs of Python complex, as the per-entry
+# versions did, so that the worst errors stay the same bit for bit
 def _sup(c: KernelCoeffs) -> float:
-    return max((abs(v) for v in c.entries.values()), default=0.0)
+    return max(map(abs, c.arrays()[1].tolist()), default=0.0)
 
 
 def _sup_diff(c1: KernelCoeffs, c2: KernelCoeffs) -> float:
-    e1, e2 = c1.entries, c2.entries
-    return max((abs(e1.get(k, 0.0) - e2.get(k, 0.0)) for k in set(e1) | set(e2)), default=0.0)
+    both1, both2, only1, only2 = _matched(c1, c2)
+    return max(map(abs, chain((both1 - both2).tolist(), only1.tolist(), only2.tolist())), default=0.0)
 
 
 def _l2(c: KernelCoeffs) -> float:
-    return math.sqrt(sum(abs(v) ** 2 for v in c.entries.values()))
+    return float(np.linalg.norm(c.arrays()[1]))
 
 
 def _pairing(c: KernelCoeffs, dker: KernelCoeffs) -> complex:
-    d = dker.entries
-    return sum(v * d[k].conjugate() for k, v in c.entries.items() if k in d)
+    both, dboth, _, _ = _matched(c, dker)
+    return complex(np.vdot(dboth, both))
 
 
 class _Checks:
@@ -103,52 +124,72 @@ def _convolution_oracle(a: KernelCoeffs, t: complex, out_degree: int) -> KernelC
 
     Rescale to monomial coefficients m = c / sqrt(alpha! beta!), convolve with
     the diagonal Taylor coefficients t^|g| / g! of the exponential factor, and
-    rescale back.  Shares no code path with the binomial-sum implementation.
+    rescale back.  One loop over the simplex |g| <= out_degree forms the
+    factors; the terms of all entries at all steps are then one array
+    expression, keys numbered by ``np.ravel_multi_index`` in the box of side
+    out_degree + 1 and equal keys summed after ``np.unique``, so memory grows
+    with entries x simplex.  It uses no binomial weight and calls nothing
+    from ``binomial``, ``symbolcalc`` or the engine's row matchers in
+    ``series``.
     """
     d = a.d
-    out: Dict = {}
-    for (aa, bb), v in a.entries.items():
-        m = v * math.exp(-0.5 * (log_multi_factorial(aa) + log_multi_factorial(bb)))
-        room = out_degree - max(total_degree(aa), total_degree(bb))
-        if room < 0:
-            continue
-        for g in enumerate_degree(d, room):
-            fac = t ** total_degree(g) * math.exp(-log_multi_factorial(g))
-            key = (index_add(aa, g), index_add(bb, g))
-            out[key] = out.get(key, 0.0) + m * fac
-    return KernelCoeffs(d, d, {
-        k: v * math.exp(0.5 * (log_multi_factorial(k[0]) + log_multi_factorial(k[1])))
-        for k, v in out.items()
-    })
+    index, values = a.arrays()
+    lg = np.array([math.lgamma(k + 1) for k in range(max(out_degree, 0) + 1)])
+    room = out_degree - np.maximum(index[:, :d].sum(axis=1), index[:, d:].sum(axis=1))
+    keep = room >= 0
+    index, values, room = index[keep], values[keep], room[keep]
+    if not len(values):
+        return KernelCoeffs(d, d)
+    dims = (out_degree + 1,) * (2 * d)
+    m = values * np.exp(-0.5 * (lg[index[:, :d]].sum(axis=1) + lg[index[:, d:]].sum(axis=1)))
+    base = np.ravel_multi_index(index.T, dims)
+    simplex = enumerate_degree(d, int(room.max()))
+    steps = [total_degree(g) for g in simplex]
+    fac = np.array([t ** k * math.exp(-log_multi_factorial(g)) for g, k in zip(simplex, steps)])
+    shift = np.array([np.ravel_multi_index(g + g, dims) for g in simplex])
+    # entry-major, each entry's steps in simplex order, as the per-entry loop formed its sums
+    used = room[:, None] >= np.array(steps)
+    keys, terms = (base[:, None] + shift)[used], (m[:, None] * fac)[used]
+    out, slot = np.unique(keys, return_inverse=True)
+    slot = slot.reshape(-1)
+    sums = np.bincount(slot, terms.real, len(out)) + 1j * np.bincount(slot, terms.imag, len(out))
+    out_index = np.stack(np.unravel_index(out, dims), axis=1)
+    scale = np.exp(0.5 * (lg[out_index[:, :d]].sum(axis=1) + lg[out_index[:, d:]].sum(axis=1)))
+    return KernelCoeffs._from_arrays(d, d, out_index, sums * scale)
 
 
 def suite_identities(seed: int, n_random: int = 60) -> dict:
-    """Inverse, adjoint, conjugation and ordering identities for the transitions."""
+    """Inverse, adjoint, conjugation and ordering identities for the transitions.
+
+    Each forward transition t0(c, s), s = ±t, is computed once per kernel and
+    read by the inverse, adjoint and conjugation checks."""
     rng = np.random.default_rng(seed)
     record = _Checks("identities", seed, 1e-10)
     ts = [1.0, -1.0, 0.5 + 0.3j]
+    signed = list(dict.fromkeys(x for t in ts for x in (t, -t)))  # t and -t, once each
     for i in range(n_random):
         d = 1 if i % 2 == 0 else 2
         degree = 8 if d == 1 else 4
         c = _random_kernel(rng, d, degree)
         dk = _random_kernel(rng, d, degree)
         sup = _sup(c)
+        scale = _l2(c) * _l2(dk)
+        fwd = {s: t0(c, s, out_degree=degree) for s in signed}
         for t in ts:
-            fwd = t0(c, t, out_degree=degree)
-            back = t0(fwd, -t, out_degree=degree)
+            back = t0(fwd[t], -t, out_degree=degree)
             record(_sup_diff(back, c) / sup, check="t0 inverse", d=d, t=str(t))
 
             fwd2 = t0_star(c, t)
             back2 = t0_star(fwd2, -t)
             record(_sup_diff(back2, c) / sup, check="t0_star inverse", d=d, t=str(t))
 
-            lhs = _pairing(t0(c, t, out_degree=degree), dk)
+            lhs = _pairing(fwd[t], dk)
             rhs = _pairing(c, t0_star(dk, np.conj(t)))
-            scale = _l2(c) * _l2(dk)
             record(abs(lhs - rhs) / scale, check="adjoint", d=d, t=str(t))
 
             conj_route = s0_inv(t0(s0(c), t, out_degree=degree))
-            record(_sup_diff(t0(c, -t, out_degree=degree), conj_route), 1e-12 * max(1.0, sup),
+            direct = fwd[-t]
+            record(_sup_diff(direct, conj_route), 1e-12 * max(1.0, sup),
                    check="conjugation", d=d, t=str(t))
 
         # oracle: multiplying by the exponential factor is a convolution in
@@ -210,18 +251,21 @@ def suite_toeplitz(seed: int) -> dict:
 
 
 def suite_bounds(seed: int, n_random: int = 100) -> dict:
-    """Explicit geometric-weight operator bound; pass requires zero violations."""
+    """Explicit geometric-weight operator bound; pass requires zero violations.
+
+    The four transitions of each kernel are computed once and read by every
+    (r1, r2) pair."""
     rng = np.random.default_rng(seed)
     record = _Checks("bounds", seed, 1.0 + 1e-12)
     pairs = [(1.0, 3.0), (1.0, 4.0), (0.5, 2.0)]
     ts = [1.0, -1.0, 0.6 + 0.8j, 0.3]
     for _ in range(n_random):
         b = _random_kernel(rng, 1, 6)
+        outs = [t0(b, t, out_degree=b.support_degree() + 8) for t in ts]
         for (r1, r2) in pairs:
             cst = t0_bound_constant(r1, r2, 1)
             base = l2_r_norm(b, r1)
-            for t in ts:
-                out = t0(b, t, out_degree=b.support_degree() + 8)
+            for t, out in zip(ts, outs):
                 record(l2_r_norm(out, r2) / (cst * base), r1=r1, r2=r2, t=str(t))
     return record.report()
 

@@ -484,3 +484,21 @@ def test_negative_out_degree_exits_4(files, capsys, op):
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["code"] == 4 and err["kind"] == "precondition" and "out_degree" in err["message"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("op, extra", [
+    *[(op, ["--out-degree", "4"]) for op in ("s0", "t0star", "antiwick-to-wick", "wick-to-antiwick")],
+    *[(op, ["--t", "1"]) for op in ("s0", "wick-to-kernel", "kernel-to-wick", "antiwick-to-wick",
+                                    "wick-to-antiwick")],
+])
+def test_transform_rejects_an_option_its_op_does_not_read(files, capsys, op, extra):
+    out = files["tmp"] / "x.json"
+    flags = ["--t", "1"] if op == "t0star" else []
+    assert run("transform", "--input", files["d11"], "--output", out, "--op", op, *flags, *extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)["error"]
+    assert err["code"] == 2 and err["kind"] == "schema"
+    assert f"op {op} does not read {extra[0]}" in err["message"]
+    assert not out.exists()
+

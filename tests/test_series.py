@@ -460,6 +460,19 @@ def test_constructor_errors_name_the_first_offending_entry():
         KernelCoeffs(1, 2, {((0, 1), (2,)): 1.0})
 
 
+def test_constructors_reject_index_components_past_int64():
+    with pytest.raises(ValueError, match=r"below 2\*\*63, got \(1180591620717411303424,\)"):
+        KernelCoeffs(1, 1, {((2 ** 70,), (0,)): 1.0})
+    with pytest.raises(ValueError, match=r"below 2\*\*63, got \(0, 9223372036854775808\)"):
+        KernelCoeffs(1, 2, {((1,), (0, 1)): 1.0, ((0,), (0, 2 ** 63)): 1.0})
+    with pytest.raises(ValueError, match=r"below 2\*\*63, got \(9223372036854775808,\)"):
+        SeriesCoeffs(1, {(0,): 1.0, (2 ** 63,): 1.0})
+    # the largest int64 component is held, and the container works
+    top = 2 ** 63 - 1
+    assert SeriesCoeffs(1, {(top,): 1.0}).support_degree() == top
+    assert KernelCoeffs(1, 1, {((top,), (0,)): 1.0}).support_degree() == top
+
+
 def test_constructor_accepts_a_read_only_view():
     K = s0(KernelCoeffs(1, 1, {((1,), (2,)): 1.0, ((0,), (0,)): 2.0}))
     copy = KernelCoeffs(1, 1, K.entries)
