@@ -6,13 +6,14 @@ Every complex-plane integral is one form,
 
 evaluated by ``_gaussian_integral`` on a tensor-product Gauss-Hermite rule
 on R^(2d): z = w = 0 is the Gaussian measure itself, w = 0 operator
-application (grid recentered at u = z), and general (z, w) the smoothing,
-composition and rank-one integrals (recentered at (z + w)/2).  The
+application and general (z, w) the smoothing, composition and rank-one
+integrals, each recentered at (z + w)/2 where the Gaussian factor peaks.  The
 real-space transforms recenter at sqrt(2) Re z and at x.  The rules
 integrate the polynomial parts exactly and leave the remainder of an
 entire function.  At the default M it is about 1e-14 at d = 1 and d = 2; at
-d = 3 the 10-node rule leaves up to about 1e-10 on anti-Wick applications
-of order-10 values (Wick applications about 3e-13).
+d = 3 the 10-node rule leaves about 1e-10 (up to 5e-9) on anti-Wick
+applications of values of order 10 to 60, and about 4e-13 (up to 2e-11) on
+Wick applications.
 
 Grids hold at most MAX_GRID_NODES = 2^20 nodes, checked before anything is
 allocated: M^(2d) nodes means d = 1 takes any M, d = 2 needs M <= 32 and
@@ -278,10 +279,10 @@ def _gaussian_integral(f: Callable, d: int, grid: QuadratureGrid, z: np.ndarray,
     return grid.integrate(integrand) * math.pi ** (-d)
 
 
-def _recentred_integral(f: Callable, d: int, z: np.ndarray, w: np.ndarray, center: np.ndarray,
-                        M: int | None) -> complex:
-    """The same integral on an M-node rule (default_nodes(2 * d) if M is None) centred at center."""
-    return _gaussian_integral(f, d, complex_grid(M or default_nodes(2 * d), d, center=center), z, w)
+def _recentred_integral(f: Callable, d: int, z: np.ndarray, w: np.ndarray, M: int | None) -> complex:
+    """The same integral on an M-node rule (default_nodes(2 * d) if M is None)
+    centred at (z + w)/2, where |exp(-(z - u, w - u))| peaks."""
+    return _gaussian_integral(f, d, complex_grid(M or default_nodes(2 * d), d, center=(z + w) / 2.0), z, w)
 
 
 def integrate_gaussian_c(f: Callable, d: int, grid: QuadratureGrid) -> complex:
@@ -297,21 +298,20 @@ def wick_apply_quad(a, F, z, M: int | None = None, d: int | None = None) -> comp
     """Operator with symbol a applied to F at z, through the defining integral.
 
     pi^(-d) integral a(z, w) F(w) exp((z, w) - |w|^2) dlambda(w), recentered
-    at w = z where the Gaussian factor peaks.
+    at w = z/2, where |exp((z, w) - |w|^2)| peaks.
     """
     d = _dim(d, a, F)
     zz = _as_cvector(z, d)
     af, ff = _as_fn(a, KernelCoeffs, eval_kernel), _as_fn(F, SeriesCoeffs, eval_series)
-    return _recentred_integral(lambda u: af(zz, u) * np.asarray(ff(u), dtype=complex),
-                               d, zz, np.zeros(d), zz, M)
+    return _recentred_integral(lambda u: af(zz, u) * np.asarray(ff(u), dtype=complex), d, zz, np.zeros(d), M)
 
 
 def antiwick_apply_quad(a_diag, F, z, M: int | None = None, d: int | None = None) -> complex:
-    """Anti-Wick application: only the diagonal values a(w, w) enter the integrand."""
+    """Anti-Wick application: only the diagonal values a(w, w) enter the integrand; recentered at z/2."""
     d = _dim(d, a_diag, F)
     zz = _as_cvector(z, d)
     af, ff = _as_fn(a_diag, KernelCoeffs, _eval_diag), _as_fn(F, SeriesCoeffs, eval_series)
-    return _recentred_integral(lambda u: af(u) * np.asarray(ff(u), dtype=complex), d, zz, np.zeros(d), zz, M)
+    return _recentred_integral(lambda u: af(u) * np.asarray(ff(u), dtype=complex), d, zz, np.zeros(d), M)
 
 
 def berezin_transform_quad(a_diag, z, w, M: int | None = None, d: int | None = None) -> complex:
@@ -323,7 +323,7 @@ def berezin_transform_quad(a_diag, z, w, M: int | None = None, d: int | None = N
     d = _dim(d, a_diag)
     zz = _as_cvector(z, d)
     ww = _as_cvector(w, d)
-    return _recentred_integral(_as_fn(a_diag, KernelCoeffs, _eval_diag), d, zz, ww, (zz + ww) / 2.0, M)
+    return _recentred_integral(_as_fn(a_diag, KernelCoeffs, _eval_diag), d, zz, ww, M)
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +455,7 @@ def twisted_product_quad(a1, a2, z, w, M: int | None = None, d: int | None = Non
     zz = _as_cvector(z, d)
     ww = _as_cvector(w, d)
     f1, f2 = _as_fn(a1, KernelCoeffs, eval_kernel), _as_fn(a2, KernelCoeffs, eval_kernel)
-    return _recentred_integral(lambda u: f1(zz, u) * np.asarray(f2(u, ww), dtype=complex),
-                               d, zz, ww, (zz + ww) / 2.0, M)
+    return _recentred_integral(lambda u: f1(zz, u) * np.asarray(f2(u, ww), dtype=complex), d, zz, ww, M)
 
 
 def rank_one_check(alpha: Sequence[int], beta: Sequence[int], t: complex, z, w,
@@ -479,8 +478,7 @@ def rank_one_check(alpha: Sequence[int], beta: Sequence[int], t: complex, z, w,
     t0c = cmath.sqrt(t)
     zz = _as_cvector(z, d)
     ww = _as_cvector(w, d)
-    lhs = _recentred_integral(lambda w1: eval_basis(a, t0c * w1) * eval_basis(b, t0c * np.conj(w1)),
-                              d, zz, ww, (zz + ww) / 2.0, M)
+    lhs = _recentred_integral(lambda w1: eval_basis(a, t0c * w1) * eval_basis(b, t0c * np.conj(w1)), d, zz, ww, M)
 
     rhs = 0.0 + 0.0j
     gmax = tuple(min(ai, bi) for ai, bi in zip(a, b))

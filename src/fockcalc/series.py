@@ -3,11 +3,11 @@
 Power series are stored against the normalized monomial basis
 ``e_alpha(z) = z^alpha / sqrt(alpha!)``; kernels are stored against
 ``e_alpha(z) e_beta(conj(w))``, i.e. analytic in the first argument and
-conjugate-analytic in the second.  Containers are immutable sparse maps, held
-as a dict or as arrays; only this module converts between the two.  Public
-constructors validate every entry, over all entries at once like the file
-reader, and hold the result as arrays; engines read ``arrays()`` and return
-``_from_arrays``.
+conjugate-analytic in the second.  Containers are immutable sparse maps held
+as arrays (index, values).  Public constructors validate every entry, over
+all entries at once like the file reader; engines read ``arrays()`` and
+return ``_from_arrays``.  ``entries`` is a read-only dict view built on first
+read.
 """
 
 from __future__ import annotations
@@ -21,13 +21,7 @@ from typing import Dict, Iterable, List, Mapping, Tuple
 import numpy as np
 
 from .errors import DimensionMismatch
-from .multiindex import (
-    MultiIndex,
-    index_add,
-    multi_binomial,
-    multi_factorial,
-    validate_index,
-)
+from .multiindex import MultiIndex, index_add, multi_binomial, validate_index
 
 KernelKey = Tuple[MultiIndex, MultiIndex]
 
@@ -84,10 +78,9 @@ def _first_seen(rows: np.ndarray) -> np.ndarray:
 
 
 class _Coeffs:
-    """Storage shared by both containers: the validated dict, arrays (index, values)
-    with one int64 row of key components per entry, or both.  The missing form
-    is built on first use and kept.  ``_DIMS`` names the dimension of each
-    multi-index of a key.
+    """Storage shared by both containers: arrays (index, values) with one int64
+    row of key components per entry, the rows distinct and the values finite
+    and nonzero.  ``_DIMS`` names the dimension of each multi-index of a key.
     """
 
     __slots__ = ("_entries", "_index", "_values", "_rows")
@@ -110,24 +103,16 @@ class _Coeffs:
 
     def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """The map as arrays (index, values), in the order of ``entries``; do not write to them."""
-        if self._index is None:
-            spans, n = self._spans(), len(self._entries)
-            flat = chain.from_iterable(self._entries)
-            if len(spans) > 1:
-                flat = chain.from_iterable(flat)
-            self._index = np.fromiter(flat, np.int64, count=n * spans[-1].stop).reshape(n, spans[-1].stop)
-            self._values = np.fromiter(self._entries.values(), complex, count=n)
         return self._index, self._values
 
     def _distinct(self) -> List[Tuple[np.ndarray, np.ndarray, List[int]]]:
         """Per multi-index of a key: its distinct rows, each entry's row number and
         the largest component per axis; kept."""
         if self._rows is None:
-            index, _ = self.arrays()
             self._rows = []
             for s in self._spans():
-                firsts, inv = np.unique(_first_seen(index[:, s]), return_inverse=True)
-                rows = index[firsts, s]
+                firsts, inv = np.unique(_first_seen(self._index[:, s]), return_inverse=True)
+                rows = self._index[firsts, s]
                 self._rows.append((rows, inv.reshape(-1), rows.max(axis=0, initial=0).tolist()))
         return self._rows
 
@@ -153,49 +138,52 @@ class _Coeffs:
             index, values = index[keep], values[keep]
         self._entries, self._index, self._values, self._rows = None, index, values, None
 
-    def _bulk(self, entries) -> bool:
-        """Hold ``entries`` as arrays if every entry passes the constructor's
-        checks, tested over all entries at once: each key is a tuple (of tuples,
-        one per multi-index) of exact ints, of the right lengths, within int64
-        and non-negative; each value is an int, float or complex, and finite.
-
-        Returns False, holding nothing, when a test fails; the constructor's
-        per-entry loop then names the first offending entry, or accepts what
-        only it takes (numpy scalars, int subclasses, strings such as "1+2j").
+    def _hold(self, entries) -> None:
+        """Hold a public constructor's ``entries`` as arrays, checked over all
+        entries at once: each key is a tuple (of tuples, one per multi-index) of
+        ints other than bools, of the right lengths, within int64 and
+        non-negative; each value converts to a finite complex as ``complex()``
+        converts it.  Where a check fails, ``_reject`` raises the first
+        offending entry's error.
         """
-        if not isinstance(entries, Mapping):
-            return False
         dims = [getattr(self, name) for name in self._DIMS]
-        n, width, indices = len(entries), sum(dims), entries.keys()
-        if len(dims) > 1:
-            if not (set(map(type, indices)) <= {tuple} and set(map(len, indices)) <= {len(dims)}):
-                return False
-            indices = list(chain.from_iterable(indices))
-        if not (set(map(type, indices)) <= {tuple} and list(map(len, indices)) == dims * n
-                and set(map(type, chain.from_iterable(indices))) <= {int}
-                and set(map(type, entries.values())) <= {int, float, complex}):
-            return False
         try:
-            index = np.fromiter(chain.from_iterable(indices), np.int64, count=n * width)
-            values = np.fromiter(entries.values(), complex, count=n)
-        except OverflowError:  # a component past int64, or an int past float range
-            return False
-        if index.min(initial=0) < 0 or not np.isfinite(values).all():
-            return False
-        self._set_arrays(index.reshape(n, width), values)
-        return True
+            n, width, indices, values = len(entries), sum(dims), entries.keys(), entries.values()
+            if len(dims) > 1:
+                pairs = _all_types(indices, tuple) and set(map(len, indices)) <= {len(dims)}
+                indices = list(chain.from_iterable(indices)) if pairs else [None]  # None fails below
+            if (_all_types(indices, tuple) and list(map(len, indices)) == dims * n
+                    and _all_types(chain.from_iterable(indices), int, bool)
+                    and _all_types(values, object, _NOT_COMPLEX)):
+                index = np.fromiter(chain.from_iterable(indices), np.int64, count=n * width)
+                array = np.fromiter(values, complex, count=n)
+                if index.min(initial=0) >= 0 and np.isfinite(array).all():
+                    self._set_arrays(index.reshape(n, width), array)
+                    return
+        except (AttributeError, TypeError, ValueError, OverflowError):
+            pass
+        self._reject(entries)
+        raise TypeError("entries must map tuples of ints to numbers")
 
     def support_degree(self) -> int:
         """Largest total degree of a multi-index in the support (0 when empty)."""
-        index, _ = self.arrays()
-        return max(int(index[:, s].sum(axis=1).max()) for s in self._spans()) if len(index) else 0
+        return max(int(self._index[:, s].sum(axis=1).max()) for s in self._spans()) if len(self) else 0
 
     def __len__(self) -> int:
-        return len(self._entries) if self._entries is not None else len(self._values)
+        return len(self._values)
 
     def __repr__(self) -> str:
         dims = ", ".join(f"{name}={getattr(self, name)}" for name in self._DIMS)
         return f"{type(self).__name__}({dims}, {len(self)} entries)"
+
+
+# numpy converts these to complex where complex() refuses them
+_NOT_COMPLEX = (bytes, np.datetime64, np.timedelta64)
+
+
+def _all_types(items, kind, but=()) -> bool:
+    """Whether every item is a ``kind`` and none a ``but``, tested once per distinct type."""
+    return all(issubclass(t, kind) and not issubclass(t, but) for t in set(map(type, items)))
 
 
 class SeriesCoeffs(_Coeffs):
@@ -208,20 +196,18 @@ class SeriesCoeffs(_Coeffs):
         if d < 1:
             raise ValueError("dimension d must be >= 1")
         self.d = d
-        entries = entries or {}
-        if self._bulk(entries):
-            return
-        clean: Dict[MultiIndex, complex] = {}
+        self._hold(entries or {})
+
+    def _reject(self, entries) -> None:
+        """Raise the error of the first entry that is not a valid series entry."""
         for alpha, v in entries.items():
             idx = validate_index(alpha)
-            if len(idx) != d:
-                raise DimensionMismatch(f"index {idx} has dimension {len(idx)}, expected {d}")
-            cv = complex(v)
-            if not cmath.isfinite(cv):
+            if not isinstance(alpha, tuple):
+                raise ValueError(f"keys must be tuples, got {alpha!r}")
+            if len(idx) != self.d:
+                raise DimensionMismatch(f"index {idx} has dimension {len(idx)}, expected {self.d}")
+            if not cmath.isfinite(complex(v)):
                 raise ValueError(f"non-finite coefficient at {idx}")
-            if cv != 0:
-                clean[idx] = cv
-        self._entries, self._index, self._rows = clean, None, None
 
 
 class KernelCoeffs(_Coeffs):
@@ -241,23 +227,21 @@ class KernelCoeffs(_Coeffs):
             raise ValueError("dimensions must be >= 1")
         self.d2 = d2
         self.d1 = d1
-        entries = entries or {}
-        if self._bulk(entries):
-            return
-        clean: Dict[KernelKey, complex] = {}
-        for (alpha, beta), v in entries.items():
-            a = validate_index(alpha)
-            b = validate_index(beta)
-            if len(a) != d2 or len(b) != d1:
+        self._hold(entries or {})
+
+    def _reject(self, entries) -> None:
+        """Raise the error of the first entry that is not a valid kernel entry."""
+        for key, v in entries.items():
+            alpha, beta = key
+            a, b = validate_index(alpha), validate_index(beta)
+            if not all(isinstance(k, tuple) for k in (key, alpha, beta)):
+                raise ValueError(f"keys must be tuples of tuples, got {key!r}")
+            if len(a) != self.d2 or len(b) != self.d1:
                 raise DimensionMismatch(
-                    f"key ({a}, {b}) has dimensions ({len(a)}, {len(b)}), expected ({d2}, {d1})"
+                    f"key ({a}, {b}) has dimensions ({len(a)}, {len(b)}), expected ({self.d2}, {self.d1})"
                 )
-            cv = complex(v)
-            if not cmath.isfinite(cv):
+            if not cmath.isfinite(complex(v)):
                 raise ValueError(f"non-finite coefficient at ({a}, {b})")
-            if cv != 0:
-                clean[(a, b)] = cv
-        self._entries, self._index, self._rows = clean, None, None
 
     @property
     def d(self) -> int:
@@ -303,14 +287,10 @@ def _int_sqrt(n: int) -> float:
 
 
 def eval_basis(alpha: MultiIndex, z) -> complex | np.ndarray:
-    """e_alpha(z) = z^alpha / sqrt(alpha!), vectorized over a trailing point axis."""
+    """e_alpha(z) = z^alpha / sqrt(alpha!), vectorized over a trailing point axis; one row of _basis_rows."""
     alpha = tuple(alpha)
     pts, single = _as_points(z, len(alpha))
-    vals = np.ones(pts.shape[0], dtype=complex)
-    for j, a in enumerate(alpha):
-        if a:
-            vals = vals * pts[:, j] ** a
-    vals = vals / _int_sqrt(multi_factorial(alpha))
+    vals = _basis_rows(np.array([alpha], dtype=np.int64), list(alpha), pts)[0]
     return complex(vals[0]) if single else vals
 
 
@@ -393,10 +373,7 @@ def multiply(F1: SeriesCoeffs, F2: SeriesCoeffs) -> SeriesCoeffs:
 
 def a2_inner(F: SeriesCoeffs, G: SeriesCoeffs) -> complex:
     """Sesquilinear pairing sum c_F(alpha) conj(c_G(alpha)) (orthonormal e_alpha)."""
-    if F.d != G.d:
-        raise DimensionMismatch(f"series dimensions differ: {F.d} vs {G.d}")
-    g = G.entries
-    return complex(sum(v * g[k].conjugate() for k, v in F.entries.items() if k in g))
+    return a2_bilinear(F, coefficient_conjugate(G))
 
 
 def a2_bilinear(F: SeriesCoeffs, G: SeriesCoeffs) -> complex:
@@ -407,34 +384,37 @@ def a2_bilinear(F: SeriesCoeffs, G: SeriesCoeffs) -> complex:
     return complex(sum(v * g[k] for k, v in F.entries.items() if k in g))
 
 
+@np.errstate(over="ignore")  # a value past float range raises OverflowError in _from_arrays
 def ladder(F: SeriesCoeffs, j: int, mode: str) -> SeriesCoeffs:
     """Raising/lowering on coefficients along axis j (1-based).
 
     mode "multiply":       z_j e_alpha = sqrt(alpha_j + 1) e_{alpha + e_j}
     mode "differentiate":  d_j e_alpha = sqrt(alpha_j)     e_{alpha - e_j}
+
+    Both move each key by +-e_j, one to one, so no two entries are summed.
     """
     if not 1 <= j <= F.d:
         raise ValueError(f"axis j={j} out of range 1..{F.d}")
-    jj = j - 1
-    out: Dict[MultiIndex, complex] = {}
+    index, values = F.arrays()
+    axis = index[:, j - 1]
     if mode == LADDER_MULTIPLY:
-        for alpha, v in F.entries.items():
-            up = tuple(a + 1 if i == jj else a for i, a in enumerate(alpha))
-            out[up] = out.get(up, 0.0) + math.sqrt(alpha[jj] + 1) * v
+        if axis.max(initial=0) == _INT64_SPAN - 1:
+            raise ValueError("multi-index entries must be non-negative integers below 2**63")
+        step, weight = 1, axis + 1
     elif mode == LADDER_DIFFERENTIATE:
-        for alpha, v in F.entries.items():
-            if alpha[jj] == 0:
-                continue
-            down = tuple(a - 1 if i == jj else a for i, a in enumerate(alpha))
-            out[down] = out.get(down, 0.0) + math.sqrt(alpha[jj]) * v
+        keep = axis > 0
+        index, values, step, weight = index[keep], values[keep], -1, axis[keep]
     else:
         raise ValueError(f"unknown ladder mode {mode!r}")
-    return SeriesCoeffs(F.d, out)
+    out = index.copy()
+    out[:, j - 1] += step
+    return SeriesCoeffs._from_arrays(F.d, out, np.sqrt(weight) * values)
 
 
 def coefficient_conjugate(F: SeriesCoeffs) -> SeriesCoeffs:
     """Entrywise conjugation; realizes z -> conj(F(conj(z))) since e_alpha is real."""
-    return SeriesCoeffs(F.d, {a: np.conj(v) for a, v in F.entries.items()})
+    index, values = F.arrays()
+    return SeriesCoeffs._from_arrays(F.d, index, np.conj(values))
 
 
 def diamond(F1: SeriesCoeffs, F2: SeriesCoeffs) -> SeriesCoeffs:

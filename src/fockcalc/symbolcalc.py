@@ -49,10 +49,7 @@ def wick_to_kernel(a: KernelCoeffs, out_degree: int | None = None) -> KernelCoef
     Defaults to the symbol's own support degree; pass out_degree = N to fill
     an operator matrix of truncation N (entries are exact either way).
     """
-    if out_degree is not None and out_degree < 0:
-        raise PreconditionError(f"out_degree must be >= 0, got {out_degree}")
-    deg = max(a.support_degree(), out_degree or 0)
-    return t0(a, 1.0, out_degree=deg)
+    return t0(a, 1.0, out_degree=a.support_degree() if out_degree is None else out_degree)
 
 
 def kernel_to_wick(K: KernelCoeffs, out_degree: int | None = None) -> KernelCoeffs:

@@ -222,6 +222,15 @@ def test_transform_round_trip(files):
         assert abs(res.entries.get(k, 0.0) - v) < 1e-10
 
 
+def test_transform_wick_to_kernel_honours_out_degree(files):
+    src, out = files["tmp"] / "deg3.json", files["tmp"] / "k1.json"
+    a = KernelCoeffs(1, 1, {((3,), (2,)): 1.0, ((1,), (0,)): 0.5j, ((0,), (0,)): 2.0})
+    save_coeffs(a, src)
+    assert run("transform", "--input", src, "--output", out, "--op", "wick-to-kernel", "--out-degree", "1") == 0
+    assert json.loads(out.read_text())["max_degree"] == 1
+    assert load_coeffs(out).entries == t0(a, 1.0, out_degree=1).entries
+
+
 def test_transform_complex_flag(files):
     out = files["tmp"] / "tc.json"
     assert run("transform", "--input", files["d11"], "--output", out,

@@ -1,4 +1,8 @@
+import cmath
 import math
+from decimal import Decimal
+from enum import IntEnum
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,7 +10,7 @@ import pytest
 from fockcalc import series
 from fockcalc.binomial import s0
 from fockcalc.errors import DimensionMismatch
-from fockcalc.multiindex import enumerate_degree, multi_factorial
+from fockcalc.multiindex import enumerate_degree, multi_factorial, validate_index
 from fockcalc.quadrature import gauss_hermite_grid
 from fockcalc.series import (
     KernelCoeffs,
@@ -88,15 +92,27 @@ def test_eval_dim_mismatch():
         eval_series(series_delta(2, (1, 0)), 1.0 + 0j)
 
 
+def basis_reference(alpha, z):
+    """e_alpha(z) from one power z_j ** alpha_j per axis, independent of the power tables."""
+    pts, single = series._as_points(z, len(alpha))
+    vals = np.ones(len(pts), dtype=complex)
+    for j, a in enumerate(alpha):
+        if a:
+            vals = vals * pts[:, j] ** a
+    vals = vals / series._int_sqrt(multi_factorial(alpha))
+    return complex(vals[0]) if single else vals
+
+
 def eval_series_reference(F, z):
-    """Per-entry sum of eval_basis, the evaluation the power tables replace."""
-    return sum((v * eval_basis(a, z) for a, v in F.entries.items()), 0j * eval_basis((0,) * F.d, z))
+    """Per-entry sum of basis_reference, the evaluation the power tables replace."""
+    return sum((v * basis_reference(a, z) for a, v in F.entries.items()), 0j * basis_reference((0,) * F.d, z))
 
 
 def eval_kernel_reference(K, z, w):
-    """Per-entry sum of eval_basis products, z and w broadcast over points."""
-    zero = 0j * eval_basis((0,) * K.d2, z) * eval_basis((0,) * K.d1, w)
-    return sum((v * eval_basis(a, z) * eval_basis(b, np.conj(w)) for (a, b), v in K.entries.items()), zero)
+    """Per-entry sum of basis_reference products, z and w broadcast over points."""
+    zero = 0j * basis_reference((0,) * K.d2, z) * basis_reference((0,) * K.d1, w)
+    return sum((v * basis_reference(a, z) * basis_reference(b, np.conj(w)) for (a, b), v in K.entries.items()),
+               zero)
 
 
 def random_sparse_kernel(rng, d, degree, n_entries):
@@ -117,6 +133,11 @@ def test_eval_matches_per_entry_reference(d, degree):
     series = [random_series(rng, d, degree), SeriesCoeffs(d, {(1,) * d: 2.0, (degree,) * d: -1j})]
     many, other = random_points(rng, d, 37), random_points(rng, d, 37)
     one, single = many[:1], many[0]
+    for alpha in enumerate_degree(d, degree):
+        for z in (many, single):
+            got, ref = eval_basis(alpha, z), basis_reference(alpha, z)
+            assert np.shape(got) == np.shape(ref)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
     for F in series:
         for z in (many, one, single):
             got, ref = eval_series(F, z), eval_series_reference(F, z)
@@ -281,6 +302,64 @@ def test_ladder_adjointness():
         assert abs(lhs - rhs) < 1e-12
 
 
+def ladder_reference(F, j, mode):
+    """The dict loop that ladder replaced: each entry moved by +-e_j and weighted."""
+    out = {}
+    for alpha, v in F.entries.items():
+        k = alpha[j - 1] + (mode == "multiply")
+        if k:
+            key = tuple(a + (1 if mode == "multiply" else -1) * (i == j - 1) for i, a in enumerate(alpha))
+            out[key] = out.get(key, 0.0) + math.sqrt(k) * v
+    return SeriesCoeffs(F.d, out)
+
+
+def conjugate_reference(F):
+    return SeriesCoeffs(F.d, {a: np.conj(v) for a, v in F.entries.items()})
+
+
+def inner_reference(F, G):
+    """The pairing loop that a2_inner replaced."""
+    g = G.entries
+    return complex(sum(v * g[k].conjugate() for k, v in F.entries.items() if k in g))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_ladder_and_conjugate_match_the_dict_loops(d):
+    rng = np.random.default_rng(80 + d)
+    idx = enumerate_degree(d, 4)
+    zero_axis = [a for a in idx if 0 in a]  # entries with alpha_j = 0 on some axis
+    cases = [random_series(rng, d, 3), SeriesCoeffs(d, {}),
+             SeriesCoeffs(d, {a: complex(*rng.standard_normal(2)) for a in zero_axis[::2]}),
+             SeriesCoeffs(d, {idx[i]: complex(*rng.standard_normal(2)) for i in rng.integers(len(idx), size=9)})]
+    for F in cases:
+        for j in range(1, d + 1):
+            for mode in ("multiply", "differentiate"):
+                _same_container(ladder(F, j, mode), ladder_reference(F, j, mode))
+        _same_container(coefficient_conjugate(F), conjugate_reference(F))
+
+
+def test_ladder_keeps_keys_within_int64_and_values_within_float_range():
+    top = 2 ** 63 - 1
+    F = SeriesCoeffs(2, {(0, top): 1.0, (1, 0): 2.0})
+    with pytest.raises(ValueError, match=r"below 2\*\*63"):
+        ladder(F, 2, "multiply")
+    assert ladder(F, 1, "multiply").entries == {(1, top): 1.0, (2, 0): 2 * math.sqrt(2)}
+    assert ladder(F, 2, "differentiate").entries == {(0, top - 1): math.sqrt(top)}
+    with pytest.raises(OverflowError):  # sqrt(4) * 1e308, like the other array engines
+        ladder(series_delta(1, (3,), 1e308), 1, "multiply")
+
+
+def test_a2_inner_matches_the_pairing_loop():
+    rng = np.random.default_rng(90)
+    for trial in range(60):
+        d = 1 + trial % 3
+        idx = enumerate_degree(d, 3)
+        F, G = (SeriesCoeffs(d, {idx[i]: complex(*rng.standard_normal(2))
+                                 for i in rng.integers(len(idx), size=int(rng.integers(0, 12)))})
+                for _ in range(2))
+        assert np.array(a2_inner(F, G)).tobytes() == np.array(inner_reference(F, G)).tobytes()
+
+
 def test_diamond_examples():
     e1, e2 = series_delta(1, (1,)), series_delta(1, (2,))
     rng = np.random.default_rng(3)
@@ -383,7 +462,29 @@ def test_first_seen_matches_column_lexsort():
         assert series._first_seen(rows).tolist() == first_seen_reference(rows).tolist()
 
 
-# --- constructors: the bulk test and the per-entry loop ------------------------
+# --- constructors: one bulk pass, checked against the per-entry loop ----------
+
+def constructor_reference(dims, entries):
+    """The constructors' per-entry loop from before containers held only arrays:
+    the validated dict with exact zeros dropped, or the first offending entry's error."""
+    clean = {}
+    for key, v in (entries or {}).items():
+        if len(dims) == 1:
+            idx = validate_index(key)
+            if len(idx) != dims[0]:
+                raise DimensionMismatch(f"index {idx} has dimension {len(idx)}, expected {dims[0]}")
+        else:
+            alpha, beta = key
+            idx = (validate_index(alpha), validate_index(beta))
+            if tuple(map(len, idx)) != tuple(dims):
+                raise DimensionMismatch(f"key {idx} has dimensions {tuple(map(len, idx))}, expected {tuple(dims)}")
+        cv = complex(v)
+        if not cmath.isfinite(cv):
+            raise ValueError(f"non-finite coefficient at {idx}")
+        if cv != 0:
+            clean[idx] = cv
+    return clean
+
 
 def _same_container(c1, c2):
     (i1, v1), (i2, v2) = c1.arrays(), c2.arrays()
@@ -398,27 +499,27 @@ def test_constructor_paths_agree(d):
     for _ in range(3):
         kernel = {(idx[i], idx[j]): complex(*rng.standard_normal(2))
                   for i, j in rng.integers(len(idx), size=(40, 2))}
-        kernel[(idx[0], idx[-1])] = 0j  # an exact zero, dropped on both paths
+        kernel[(idx[0], idx[-1])] = 0j  # an exact zero, dropped whatever the value types
         plain = KernelCoeffs(d, d, kernel)
         assert plain._index is not None  # taken as arrays at once
         scalars = KernelCoeffs(d, d, {k: np.complex128(v) for k, v in kernel.items()})
-        assert scalars._index is None  # numpy scalars take the loop
+        assert scalars._index is not None  # numpy scalars take the same bulk pass
         _same_container(plain, scalars)
         values = {idx[i]: complex(*rng.standard_normal(2)) for i in rng.integers(len(idx), size=12)}
         plain = SeriesCoeffs(d, values)
         assert plain._index is not None
         scalars = SeriesCoeffs(d, {k: np.complex128(v) for k, v in values.items()})
-        assert scalars._index is None
+        assert scalars._index is not None
         _same_container(plain, scalars)
 
 
 def _outcome(build):
-    """The container's entries as text (which shows value types and signed zeros), or its error."""
+    """The entries as text (which shows value types and signed zeros), or the error."""
     try:
         c = build()
     except Exception as exc:  # the error itself is the outcome compared
         return type(exc), str(exc)
-    return repr(list(c.entries.items()))
+    return repr(list((c.entries if isinstance(c, series._Coeffs) else c).items()))
 
 
 @pytest.mark.parametrize("d,entries", [
@@ -432,14 +533,49 @@ def _outcome(build):
     (1, {(0,): -0.0, (1,): complex(0.0, -0.0), (2,): complex(1.0, -0.0), (3,): 0}),
     (1, {(0,): 1, (1,): True, (2,): np.float64(0.5), (3,): "1+2j"}),
     (2, {}),
+    (1, {(0,): Fraction(1, 3), (1,): Decimal("0.1"), (2,): np.float32(0.1), (3,): np.complex64(0.1 - 0.2j)}),
+    (1, {(0,): 1.0, (np.int64(1),): 2.0}),
+    (1, {(0,): 1.0, (1,): "abc", (2,): None}),
+    (1, {(0,): 1.0, (1,): None, (2,): "abc"}),
+    (1, {(0,): 1.0, (1,): b"1"}),
+    (1, {(0,): np.timedelta64(1, "s")}),
+    (2, {(0, 1): 1.0, (0.0, 2): 2.0}),
+    (1, [((0,), 1.0)]),
 ])
-def test_constructor_edge_cases_match_the_loop(monkeypatch, d, entries):
-    kernel = {(k, k): v for k, v in entries.items()}
-    bulk = [_outcome(lambda: SeriesCoeffs(d, entries)), _outcome(lambda: KernelCoeffs(d, d, kernel))]
-    # every constructor now takes its per-entry loop
-    monkeypatch.setattr(series._Coeffs, "_bulk", lambda self, entries: False)
-    loop = [_outcome(lambda: SeriesCoeffs(d, entries)), _outcome(lambda: KernelCoeffs(d, d, kernel))]
-    assert bulk == loop
+def test_constructor_edge_cases_match_the_loop(d, entries):
+    kernel = {(k, k): v for k, v in entries.items()} if isinstance(entries, dict) else entries
+    got = [_outcome(lambda: SeriesCoeffs(d, entries)), _outcome(lambda: KernelCoeffs(d, d, kernel))]
+    want = [_outcome(lambda: constructor_reference((d,), entries)),
+            _outcome(lambda: constructor_reference((d, d), kernel))]
+    assert got == want
+
+
+def test_constructors_take_int_subclass_components_as_int():
+    class Axis(IntEnum):
+        ONE = 1
+
+    class Small(int):
+        pass
+
+    entries = {(Axis.ONE, Small(2)): 1.0, (0, Axis.ONE): 2.0}
+    F = SeriesCoeffs(2, entries)
+    K = KernelCoeffs(2, 2, {(k, k): v for k, v in entries.items()})
+    assert F.entries == constructor_reference((2,), entries)  # equal by ==
+    assert {type(c) for key in F.entries for c in key} == {int}
+    assert {type(c) for key in K.entries for part in key for c in part} == {int}
+    assert F.arrays()[0].tolist() == [[1, 2], [0, 1]]
+
+
+def test_constructors_reject_keys_that_are_not_tuples():
+    # the per-entry loop took any iterable as a multi-index; keys are tuples now
+    assert constructor_reference((1,), {range(1, 2): 1.0}) == {(1,): 1.0}
+    with pytest.raises(ValueError, match=r"keys must be tuples, got range\(1, 2\)"):
+        SeriesCoeffs(1, {(0,): 1.0, range(1, 2): 1.0})
+    with pytest.raises(ValueError, match=r"keys must be tuples of tuples, got \(range\(1, 2\), \(0,\)\)"):
+        KernelCoeffs(1, 1, {((0,), (0,)): 1.0, (range(1, 2), (0,)): 1.0})
+    # the first offending entry is named, whatever its fault
+    with pytest.raises(ValueError, match="non-negative integers"):
+        SeriesCoeffs(1, {(-1,): 1.0, range(1, 2): 1.0})
 
 
 def test_constructor_errors_name_the_first_offending_entry():

@@ -69,6 +69,15 @@ def test_wick_to_kernel_zero():
     assert not wick_to_kernel(KernelCoeffs(1, 1, {}), out_degree=4).entries
 
 
+def test_wick_to_kernel_honours_an_out_degree_below_the_support_degree():
+    a = KernelCoeffs(1, 1, {((3,), (2,)): 1.0, ((1,), (0,)): 0.5j, ((0,), (0,)): 2.0})
+    K = wick_to_kernel(a, out_degree=1)
+    assert K.support_degree() == 1
+    assert K.entries == t0(a, 1.0, out_degree=1).entries
+    assert K.entries == {((0,), (0,)): 2.0, ((1,), (1,)): 2.0, ((1,), (0,)): 0.5j}
+    assert wick_to_kernel(a).entries == t0(a, 1.0, out_degree=3).entries  # default: the support degree
+
+
 def test_kernel_to_wick_identity_kernel():
     a = kernel_to_wick(identity_kernel(1, 10))
     assert set(a.entries) == {((0,), (0,))}
