@@ -7,12 +7,14 @@ conjugate-analytic in the second.  Containers are immutable sparse maps held
 as arrays (index, values).  Public constructors validate every entry, over
 all entries at once like the file reader; engines read ``arrays()`` and
 return ``_from_arrays``.  ``entries`` is a read-only dict view built on first
-read.
+read.  ``multiply``, ``diamond`` and ``ladder`` (a product with e_j) are one
+blocked sum over pairs of entries, ``_shifted_products``.
 """
 
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 from itertools import chain
 from types import MappingProxyType
@@ -21,7 +23,7 @@ from typing import Dict, Iterable, List, Mapping, Tuple
 import numpy as np
 
 from .errors import DimensionMismatch
-from .multiindex import MultiIndex, index_add, multi_binomial, validate_index
+from .multiindex import MultiIndex, validate_index
 
 KernelKey = Tuple[MultiIndex, MultiIndex]
 
@@ -29,7 +31,7 @@ LADDER_MULTIPLY = "multiply"
 LADDER_DIFFERENTIATE = "differentiate"
 
 _INT64_SPAN = 2 ** 63
-_BLOCK_VALUES = 4096   # eval_kernel sums entries in blocks of at most this many entry-point values
+_BLOCK_VALUES = 4096   # block size: eval_kernel's entry-point values (at most), _shifted_products' pairs (about)
 
 
 def _pack(cols: np.ndarray, radix: int) -> tuple[List[np.ndarray], List[tuple[int, int]]]:
@@ -77,6 +79,13 @@ def _first_seen(rows: np.ndarray) -> np.ndarray:
     return first
 
 
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a non-negative int array, in first-seen order, and each row's number among them."""
+    first = _first_seen(rows)
+    new = first == np.arange(len(rows))
+    return rows[new], (np.cumsum(new) - 1)[first]
+
+
 class _Coeffs:
     """Storage shared by both containers: arrays (index, values) with one int64
     row of key components per entry, the rows distinct and the values finite
@@ -111,9 +120,8 @@ class _Coeffs:
         if self._rows is None:
             self._rows = []
             for s in self._spans():
-                firsts, inv = np.unique(_first_seen(self._index[:, s]), return_inverse=True)
-                rows = self._index[firsts, s]
-                self._rows.append((rows, inv.reshape(-1), rows.max(axis=0, initial=0).tolist()))
+                rows, inv = _distinct_rows(self._index[:, s])
+                self._rows.append((rows, inv, rows.max(axis=0, initial=0).tolist()))
         return self._rows
 
     @classmethod
@@ -360,15 +368,7 @@ def multiply(F1: SeriesCoeffs, F2: SeriesCoeffs) -> SeriesCoeffs:
 
     Matches pointwise products exactly on finitely supported inputs.
     """
-    if F1.d != F2.d:
-        raise DimensionMismatch(f"series dimensions differ: {F1.d} vs {F2.d}")
-    out: Dict[MultiIndex, complex] = {}
-    for a1, v1 in F1.entries.items():
-        for a2, v2 in F2.entries.items():
-            alpha = index_add(a1, a2)
-            w = _int_sqrt(multi_binomial(alpha, a1))
-            out[alpha] = out.get(alpha, 0.0) + w * v1 * v2
-    return SeriesCoeffs(F1.d, out)
+    return _shifted_products(F1, F2, 1)
 
 
 def a2_inner(F: SeriesCoeffs, G: SeriesCoeffs) -> complex:
@@ -384,31 +384,20 @@ def a2_bilinear(F: SeriesCoeffs, G: SeriesCoeffs) -> complex:
     return complex(sum(v * g[k] for k, v in F.entries.items() if k in g))
 
 
-@np.errstate(over="ignore")  # a value past float range raises OverflowError in _from_arrays
 def ladder(F: SeriesCoeffs, j: int, mode: str) -> SeriesCoeffs:
     """Raising/lowering on coefficients along axis j (1-based).
 
     mode "multiply":       z_j e_alpha = sqrt(alpha_j + 1) e_{alpha + e_j}
     mode "differentiate":  d_j e_alpha = sqrt(alpha_j)     e_{alpha - e_j}
 
-    Both move each key by +-e_j, one to one, so no two entries are summed.
+    That is ``multiply`` or ``diamond`` with the unit monomial e_j as the first factor.
     """
     if not 1 <= j <= F.d:
         raise ValueError(f"axis j={j} out of range 1..{F.d}")
-    index, values = F.arrays()
-    axis = index[:, j - 1]
-    if mode == LADDER_MULTIPLY:
-        if axis.max(initial=0) == _INT64_SPAN - 1:
-            raise ValueError("multi-index entries must be non-negative integers below 2**63")
-        step, weight = 1, axis + 1
-    elif mode == LADDER_DIFFERENTIATE:
-        keep = axis > 0
-        index, values, step, weight = index[keep], values[keep], -1, axis[keep]
-    else:
+    if mode not in (LADDER_MULTIPLY, LADDER_DIFFERENTIATE):
         raise ValueError(f"unknown ladder mode {mode!r}")
-    out = index.copy()
-    out[:, j - 1] += step
-    return SeriesCoeffs._from_arrays(F.d, out, np.sqrt(weight) * values)
+    e_j = series_delta(F.d, (int(i == j - 1) for i in range(F.d)))
+    return (multiply if mode == LADDER_MULTIPLY else diamond)(e_j, F)
 
 
 def coefficient_conjugate(F: SeriesCoeffs) -> SeriesCoeffs:
@@ -424,16 +413,51 @@ def diamond(F1: SeriesCoeffs, F2: SeriesCoeffs) -> SeriesCoeffs:
     d^alpha e_beta = sqrt(beta! / (beta-alpha)!) e_(beta-alpha), each pair with
     alpha <= beta adds sqrt(C(beta, alpha)) c1(alpha) c2(beta) at beta - alpha.
     """
+    return _shifted_products(F1, F2, -1)
+
+
+def _root_binomial(n: int, k: int) -> float:
+    """sqrt(C(n, k)) from the exact integer; OverflowError, without forming it, where
+    the lower bound C(n, k) >= (n - m + 1)^m / m!, m = min(k, n - k), passes e^1420."""
+    m = min(k, n - k)
+    if m * math.log(n - m + 1) - math.lgamma(m + 1) <= 1420:  # else the root passes DBL_MAX ~ e^709.78
+        with contextlib.suppress(OverflowError):
+            return _int_sqrt(math.comb(n, k))
+    raise OverflowError("binomial weight out of float range")
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a value past float range raises OverflowError in _from_arrays
+def _shifted_products(F1: SeriesCoeffs, F2: SeriesCoeffs, sign: int) -> SeriesCoeffs:
+    """sum over pairs (alpha of F1, beta of F2) of sqrt(C(hi, alpha)) c1(alpha) c2(beta) at
+    the key beta + sign * alpha, hi the larger of beta and the key; negative keys are dropped.
+
+    Pairs of whole entries of F1 are formed about _BLOCK_VALUES at a time; each axis factor
+    sqrt(C(hi_j, alpha_j)) is computed once per distinct (hi_j, alpha_j) of a block.  A block's
+    sums start from the earlier blocks' sums, so each key adds its terms in the order of a loop
+    over F1, then F2, and keys come out in the order first reached."""
     if F1.d != F2.d:
         raise DimensionMismatch(f"series dimensions differ: {F1.d} vs {F2.d}")
-    out: Dict[MultiIndex, complex] = {}
-    for alpha, v1 in F1.entries.items():
-        for beta, v2 in F2.entries.items():
-            c = multi_binomial(beta, alpha)  # zero unless alpha <= beta
-            if c:
-                key = tuple(b - a for a, b in zip(alpha, beta))
-                out[key] = out.get(key, 0.0) + _int_sqrt(c) * v1 * v2
-    return SeriesCoeffs(F1.d, out)
+    (idx1, v1), (idx2, v2) = F1.arrays(), F2.arrays()
+    n2 = len(idx2)
+    block = max(_BLOCK_VALUES // n2, 1) * n2 if n2 else 1
+    keys, re, im = idx1[:0], np.empty(0), np.empty(0)
+    for p in range(0, len(idx1) * n2, block):
+        i1, i2 = np.divmod(np.arange(p, min(p + block, len(idx1) * n2)), n2)
+        key = idx2[i2] + sign * idx1[i1]
+        if sign > 0 and (key < 0).any():  # int64 wrapped past 2**63 - 1
+            raise ValueError("multi-index entries must be non-negative integers below 2**63")
+        keep = (key >= 0).all(axis=1)
+        i1, i2, key = i1[keep], i2[keep], key[keep]
+        low, hi = idx1[i1], np.maximum(key, idx2[i2])
+        w = np.ones(len(key))
+        for j in range(F1.d):
+            pairs, inv = _distinct_rows(np.stack((hi[:, j], low[:, j]), axis=1))
+            w *= np.array([_root_binomial(n, k) for n, k in pairs.tolist()])[inv]
+        x1, x2 = w * v1[i1], v2[i2]  # (x1 c2) part by part below, as numpy's complex multiply may fuse
+        keys, slot = _distinct_rows(np.concatenate((keys, key)))  # earlier keys keep their slots
+        re = np.bincount(slot, weights=np.concatenate((re, x1.real * x2.real - x1.imag * x2.imag)))
+        im = np.bincount(slot, weights=np.concatenate((im, x1.real * x2.imag + x1.imag * x2.real)))
+    return SeriesCoeffs._from_arrays(F1.d, keys, re + 1j * im)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from fockcalc import series
 from fockcalc.binomial import s0
 from fockcalc.errors import DimensionMismatch
-from fockcalc.multiindex import enumerate_degree, multi_factorial, validate_index
+from fockcalc.multiindex import enumerate_degree, index_add, multi_binomial, multi_factorial, validate_index
 from fockcalc.quadrature import gauss_hermite_grid
 from fockcalc.series import (
     KernelCoeffs,
@@ -235,14 +235,15 @@ def test_multiply_identity_element():
 
 
 def test_multiply_matches_pointwise_products():
-    rng = np.random.default_rng(5)
-    F1 = random_series(rng, 1, 4)
-    F2 = random_series(rng, 1, 5)
-    P = multiply(F1, F2)
-    pts = rng.uniform(-1.5, 1.5, (20, 1)) + 1j * rng.uniform(-1.5, 1.5, (20, 1))
-    lhs = eval_series(P, pts)
-    rhs = eval_series(F1, pts) * eval_series(F2, pts)
-    assert np.max(np.abs(lhs - rhs)) < 1e-12
+    for d in (1, 2, 3):
+        rng = np.random.default_rng(5)
+        F1 = random_series(rng, d, 4)
+        F2 = random_series(rng, d, 5)
+        P = multiply(F1, F2)
+        pts = rng.uniform(-1.5, 1.5, (20, d)) + 1j * rng.uniform(-1.5, 1.5, (20, d))
+        lhs = eval_series(P, pts)
+        rhs = eval_series(F1, pts) * eval_series(F2, pts)
+        assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 def test_multiply_beyond_float_binomial():
@@ -384,13 +385,102 @@ def test_diamond_beyond_float_factorial():
 
 
 def test_diamond_adjointness():
-    rng = np.random.default_rng(23)
-    F1 = random_series(rng, 1, 3)
-    F2 = random_series(rng, 1, 5)
-    G = random_series(rng, 1, 4)
-    lhs = a2_inner(diamond(F1, F2), G)
-    rhs = a2_inner(F2, multiply(coefficient_conjugate(F1), G))
-    assert abs(lhs - rhs) < 1e-10
+    for d in (1, 2, 3):
+        rng = np.random.default_rng(23)
+        F1 = random_series(rng, d, 3)
+        F2 = random_series(rng, d, 5)
+        G = random_series(rng, d, 4)
+        lhs = a2_inner(diamond(F1, F2), G)
+        rhs = a2_inner(F2, multiply(coefficient_conjugate(F1), G))
+        assert abs(lhs - rhs) < 1e-10
+
+
+def multiply_reference(F1, F2):
+    """The pair loop that multiply replaced; also returns, per key, the sum of |terms|."""
+    out, size = {}, {}
+    for a1, v1 in F1.entries.items():
+        for a2, v2 in F2.entries.items():
+            alpha = index_add(a1, a2)
+            w = series._int_sqrt(multi_binomial(alpha, a1))
+            out[alpha] = out.get(alpha, 0.0) + w * v1 * v2
+            size[alpha] = size.get(alpha, 0.0) + w * abs(v1) * abs(v2)
+    return SeriesCoeffs(F1.d, out), size
+
+
+def diamond_reference(F1, F2):
+    """The pair loop that diamond replaced; also returns, per key, the sum of |terms|."""
+    out, size = {}, {}
+    for alpha, v1 in F1.entries.items():
+        for beta, v2 in F2.entries.items():
+            c = multi_binomial(beta, alpha)  # zero unless alpha <= beta
+            if c:
+                key = tuple(b - a for a, b in zip(alpha, beta))
+                out[key] = out.get(key, 0.0) + series._int_sqrt(c) * v1 * v2
+                size[key] = size.get(key, 0.0) + series._int_sqrt(c) * abs(v1) * abs(v2)
+    return SeriesCoeffs(F1.d, out), size
+
+
+def _sparse_series(rng, d, degree, n):
+    idx = enumerate_degree(d, degree)
+    return SeriesCoeffs(d, {idx[i]: complex(*rng.standard_normal(2))
+                            for i in rng.choice(len(idx), size=min(n, len(idx)), replace=False)})
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_multiply_and_diamond_match_the_pair_loops(d):
+    rng = np.random.default_rng(70 + d)
+    empty = SeriesCoeffs(d, {})
+    cases = [(random_series(rng, d, 4), random_series(rng, d, 6)),
+             (_sparse_series(rng, d, 9, 12), _sparse_series(rng, d, 12, 30)),
+             (empty, random_series(rng, d, 2)), (random_series(rng, d, 2), empty),
+             (_sparse_series(rng, d, 5, 1), _sparse_series(rng, d, 8, 40))]
+    cases += [(G, F) for F, G in cases]
+    if d == 1:  # 301 x 121 pairs take 10 blocks of whole entries of the first factor
+        long, short = _sparse_series(rng, 1, 300, 301), _sparse_series(rng, 1, 120, 121)
+        cases += [(long, short), (short, long)]
+    for F1, F2 in cases:
+        for op, reference in ((multiply, multiply_reference), (diamond, diamond_reference)):
+            got, (ref, size) = op(F1, F2), reference(F1, F2)
+            if d == 1:  # one binomial per pair, so the same weights and terms in the same order
+                _same_container(got, ref)
+                continue
+            # the product of per-axis roots in place of one root moves the last bits
+            assert list(got.entries) == list(ref.entries)
+            for key, v in got.entries.items():
+                assert abs(v - ref.entries[key]) <= 1e-15 * size[key]
+
+
+def test_products_keep_keys_within_int64_and_values_within_float_range():
+    # the weight bound stops before C(2^41, 2^40) is formed
+    with pytest.raises(OverflowError, match="binomial weight out of float range"):
+        multiply(series_delta(1, (2 ** 40,)), series_delta(1, (2 ** 40,)))
+    with pytest.raises(OverflowError, match="binomial weight out of float range"):
+        diamond(series_delta(1, (2 ** 40,)), series_delta(1, (2 ** 41,)))
+    # sqrt(C(2060, 1030)) just past float range, where the bound leaves it to the integer
+    with pytest.raises(OverflowError, match="binomial weight out of float range"):
+        multiply(series_delta(1, (1030,)), series_delta(1, (1030,)))
+    with pytest.raises(OverflowError):  # sqrt(4) * 1e308 * 1e10, without a numpy warning
+        multiply(series_delta(1, (3,), 1e308), series_delta(1, (1,), 1e10))
+    with pytest.raises(ValueError, match=r"below 2\*\*63"):
+        multiply(series_delta(1, (2 ** 62,)), series_delta(1, (2 ** 62,)))
+    with pytest.raises(ValueError, match=r"below 2\*\*63"):
+        multiply(series_delta(2, (0, 1)), SeriesCoeffs(2, {(1, 0): 1.0, (0, 2 ** 63 - 1): 1.0}))
+
+
+def test_products_run_without_the_entries_view(monkeypatch):
+    # multiply, diamond and ladder read the arrays only
+    rng = np.random.default_rng(4)
+    F, G = random_series(rng, 2, 3), random_series(rng, 2, 5)
+    expect = [multiply(F, G), diamond(F, G), ladder(G, 1, "multiply"), ladder(G, 2, "differentiate")]
+
+    def forbidden(self):
+        raise AssertionError("entries read")
+
+    monkeypatch.setattr(series._Coeffs, "entries", property(forbidden))
+    got = [multiply(F, G), diamond(F, G), ladder(G, 1, "multiply"), ladder(G, 2, "differentiate")]
+    monkeypatch.undo()
+    for g, e in zip(got, expect):
+        _same_container(g, e)
 
 
 def test_harmonic_oscillator_eigenvalues():
