@@ -5,7 +5,7 @@ Subcommands: ``transform`` (coefficient-level symbol/kernel conversions),
 with JSON reports) and ``classify`` (space-hierarchy diagnostics).
 
 Exit codes: 0 success, 1 verification failure, 2 I/O, schema or argument
-error, 3 dimension mismatch, 4 precondition failure or arithmetic overflow.
+error, 3 dimension mismatch, 4 precondition failure, overflow or out of memory.
 Errors are emitted as a machine-readable JSON object on stderr.
 """
 
@@ -189,6 +189,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ArithmeticError as exc:
         # e.g. a binomial weight beyond float range at a very high out-degree
         return _emit_error(EXIT_PRECONDITION, "arithmetic", str(exc))
+    except MemoryError as exc:  # e.g. t0_star's binomial table at alpha = beta = 10^11 (11.6 TiB)
+        return _emit_error(EXIT_PRECONDITION, "memory", str(exc) or "out of memory")
 
 
 if __name__ == "__main__":

@@ -33,13 +33,6 @@ def total_degree(alpha: Sequence[int]) -> int:
     return sum(alpha)
 
 
-def check_same_dim(alpha: Sequence[int], gamma: Sequence[int]) -> None:
-    if len(alpha) != len(gamma):
-        raise DimensionMismatch(
-            f"multi-index dimensions differ: {len(alpha)} vs {len(gamma)}"
-        )
-
-
 def _fixed_degree(d: int, n: int) -> Iterator[MultiIndex]:
     """All alpha in N^d with |alpha| = n, in ascending lexicographic order."""
     if d == 1:
@@ -72,7 +65,8 @@ def multi_binomial(alpha: Sequence[int], gamma: Sequence[int]) -> int:
 
     Exact integer arithmetic; zero when any gamma_j exceeds alpha_j.
     """
-    check_same_dim(alpha, gamma)
+    if len(alpha) != len(gamma):
+        raise DimensionMismatch(f"multi-index dimensions differ: {len(alpha)} vs {len(gamma)}")
     out = 1
     for a, g in zip(alpha, gamma):
         if g > a:

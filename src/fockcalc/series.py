@@ -6,9 +6,10 @@ Power series are stored against the normalized monomial basis
 conjugate-analytic in the second.  Containers are immutable sparse maps held
 as arrays (index, values).  Public constructors validate every entry, over
 all entries at once like the file reader; engines read ``arrays()`` and
-return ``_from_arrays``.  ``entries`` is a read-only dict view built on first
-read.  ``multiply``, ``diamond`` and ``ladder`` (a product with e_j) are one
-blocked sum over pairs of entries, ``_shifted_products``.
+return ``_from_arrays``.  ``entries``, a read-only dict view built on first
+read, is for users: no function here reads it.  ``multiply``, ``diamond`` and
+``ladder`` (a product with e_j) are one blocked sum over pairs of entries,
+``_shifted_products``; ``a2_bilinear`` matches keys through ``_first_seen``.
 """
 
 from __future__ import annotations
@@ -296,7 +297,7 @@ def _int_sqrt(n: int) -> float:
 
 def eval_basis(alpha: MultiIndex, z) -> complex | np.ndarray:
     """e_alpha(z) = z^alpha / sqrt(alpha!), vectorized over a trailing point axis; one row of _basis_rows."""
-    alpha = tuple(alpha)
+    alpha = validate_index(alpha)
     pts, single = _as_points(z, len(alpha))
     vals = _basis_rows(np.array([alpha], dtype=np.int64), list(alpha), pts)[0]
     return complex(vals[0]) if single else vals
@@ -377,11 +378,15 @@ def a2_inner(F: SeriesCoeffs, G: SeriesCoeffs) -> complex:
 
 
 def a2_bilinear(F: SeriesCoeffs, G: SeriesCoeffs) -> complex:
-    """Bilinear pairing sum c_F(alpha) c_G(alpha)."""
+    """Bilinear pairing sum c_F(alpha) c_G(alpha), summed from +0.0 in the order of F's entries."""
     if F.d != G.d:
         raise DimensionMismatch(f"series dimensions differ: {F.d} vs {G.d}")
-    g = G.entries
-    return complex(sum(v * g[k] for k, v in F.entries.items() if k in g))
+    (fi, fv), (gi, gv) = F.arrays(), G.arrays()
+    at = _first_seen(np.concatenate((gi, fi)))[len(gi):]  # each F row's row in G, or a position past G
+    x, y = fv[at < len(gi)], gv[at[at < len(gi)]]
+    terms = np.zeros(len(x) + 1, dtype=complex)  # products part by part, as numpy's complex multiply may fuse
+    terms.real[1:], terms.imag[1:] = x.real * y.real - x.imag * y.imag, x.real * y.imag + x.imag * y.real
+    return complex(np.cumsum(terms)[-1])
 
 
 def ladder(F: SeriesCoeffs, j: int, mode: str) -> SeriesCoeffs:
@@ -470,7 +475,7 @@ def hermite_eval(alpha: MultiIndex, x) -> float | np.ndarray:
     Per axis: h_0(t) = pi^(-1/4) exp(-t^2/2), h_1 = sqrt(2) t h_0 and
     h_{k+1} = sqrt(2/(k+1)) t h_k - sqrt(k/(k+1)) h_{k-1}.
     """
-    alpha = tuple(alpha)
+    alpha = validate_index(alpha)
     pts, single = _as_points(x, len(alpha), dtype=float)
     vals = np.ones(pts.shape[0], dtype=float)
     for j, k in enumerate(alpha):

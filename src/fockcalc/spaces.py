@@ -8,7 +8,9 @@ sigma, and every flat order precedes the real orders at or above 1/2.
 Membership in the spaces built from these weights is an asymptotic notion;
 at a fixed truncation only a diagnostic is possible.  :func:`classify`
 therefore fits constants on a radius grid and reports trends, never
-membership proper.
+membership proper.  It and :func:`weighted_norm` with a ``WeightSpec`` read
+the index arrays and share one weight evaluator, ``_log_theta``; only a
+callable weight is handed the keys of ``entries``.
 """
 
 from __future__ import annotations
@@ -112,13 +114,11 @@ class WeightSpec:
 
 
 def _log_theta(order: GrowthOrder, r: float, n, log_fact):
-    """log theta_{r,order} of an index of total degree n and log(alpha!) = log_fact.
-
-    Works on scalars and on arrays alike; +inf encodes the infinite branch of
-    the zero order.
-    """
-    if order.kind == "real":
-        return r * n ** (1.0 / (2.0 * order.value))
+    """log theta_{r,order} of an index of total degree n and log(alpha!) = log_fact, on
+    scalars and arrays alike; +inf encodes the infinite branch of the zero order."""
+    if order.kind == "real":  # libm's power once per distinct degree, as numpy's may differ in the last bit
+        degrees, at = np.unique(n, return_inverse=True)
+        return r * np.array([k ** (1.0 / (2.0 * order.value)) for k in degrees.tolist()])[at].reshape(np.shape(n))
     if order.kind == "flat":
         return n * math.log(r) + log_fact / (2.0 * order.value)
     if order.kind == "inf":
@@ -216,22 +216,6 @@ def kappa_weight(kind: int, zero_variant: bool, r: float, s: GrowthOrder, z) -> 
 # weighted norms
 # ---------------------------------------------------------------------------
 
-def _log_weight_fn(weight) -> Callable:
-    """Normalize a weight argument to a log-valued callable on index keys."""
-    if isinstance(weight, WeightSpec):
-        return lambda key: log_theta_weight(weight, key)
-    if callable(weight):
-        def lw(key):
-            v = weight(key)
-            if v == math.inf:
-                return math.inf
-            if not (v > 0):
-                raise DomainError(f"weight must be positive, got {v!r} at {key}")
-            return math.log(v)
-        return lw
-    raise TypeError("weight must be a WeightSpec or a callable on index keys")
-
-
 def _log_norm(logs, p: float) -> float:
     """log of the l^p norm of exp(logs); p = inf gives the max, no entries -inf.
 
@@ -248,19 +232,34 @@ def weighted_norm(c: Union[SeriesCoeffs, KernelCoeffs], weight, p: float) -> flo
     """l^p norm of the weighted entries; p = inf gives the weighted sup.
 
     Weights are combined in log space so factorial-type weights stay usable
-    up to total degree 64 without overflow.  An infinite weight meeting a
-    nonzero entry raises DomainError.
+    up to total degree 64 without overflow.  A ``WeightSpec`` weighs the
+    indices of a series, all at once; a callable weight is called on each key
+    of ``entries`` of a series or a kernel, in order.  An infinite weight
+    meeting a nonzero entry raises DomainError.
     """
     if not (p > 0):
         raise ValueError("p must lie in (0, inf]")
-    log_w = _log_weight_fn(weight)
-    logs: List[float] = []
-    for key, v in c.entries.items():
-        lw = log_w(key)
-        if math.isinf(lw):
-            raise DomainError(f"infinite weight on support at {key}")
-        logs.append(math.log(abs(v)) + lw)
-    return _exp(_log_norm(logs, p))
+    index, values = c.arrays()
+    if isinstance(weight, WeightSpec):
+        if not isinstance(c, SeriesCoeffs):
+            raise TypeError("a WeightSpec weighs series indices; weigh a kernel with a callable")
+        lw = _log_theta(weight.order, weight.r, index.sum(axis=1, dtype=float), _log_factorials(index))
+        infinite = np.flatnonzero(np.isinf(lw))
+        if len(infinite):
+            raise DomainError(f"infinite weight on support at {tuple(index[infinite[0]].tolist())}")
+    elif callable(weight):
+        lw = []
+        for key in c.entries:
+            v = weight(key)
+            if not (v > 0):
+                raise DomainError(f"weight must be positive, got {v!r} at {key}")
+            if v == math.inf:
+                raise DomainError(f"infinite weight on support at {key}")
+            lw.append(math.log(v))
+    else:
+        raise TypeError("weight must be a WeightSpec or a callable on index keys")
+    log_c = list(map(math.log, np.hypot(values.real, values.imag).tolist()))  # libm's log(abs(v)), as per key
+    return _exp(_log_norm(np.add(log_c, lw), p))
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +410,7 @@ def classify(c: KernelCoeffs, space: SpaceSpec, r_grid: Sequence[float]) -> Diag
     # expression.  alpha carries s2, beta carries s1.
     index, values = c.arrays()
     alpha, beta = index[:, :c.d2], index[:, c.d2:]
-    n2, n1 = alpha.sum(axis=1), beta.sum(axis=1)
+    n2, n1 = alpha.sum(axis=1, dtype=float), beta.sum(axis=1, dtype=float)  # n * n stays exact below 2^53
     order = np.argsort(n2 + n1, kind="stable")
     n2, n1 = n2[order], n1[order]
     lf2, lf1 = _log_factorials(alpha)[order], _log_factorials(beta)[order]

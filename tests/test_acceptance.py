@@ -22,7 +22,6 @@ from fockcalc.quadrature import (
 )
 from fockcalc.series import (
     KernelCoeffs,
-    SeriesCoeffs,
     a2_inner,
     coefficient_conjugate,
     diamond,
@@ -46,6 +45,8 @@ from fockcalc.symbolcalc import (
     wick_to_kernel,
 )
 
+from _support import random_kernel, random_series, sup, sup_diff
+
 M_NODES = 64
 T_VALUES = (1.0, -1.0, 0.5 + 0.3j)
 
@@ -54,35 +55,6 @@ def report(number, name, err, tol):
     status = "PASS" if err <= tol else "FAIL"
     print(f"[criterion {number:02d}] {name}: {status} (max_error={err:.3e}, tolerance={tol:.1e})")
     assert err <= tol, f"criterion {number}: {name} exceeded tolerance ({err:.3e} > {tol:.1e})"
-
-
-def random_kernel(rng, d, degree):
-    idx = enumerate_degree(d, degree)
-    return KernelCoeffs(d, d, {
-        (a, b): complex(rng.standard_normal(), rng.standard_normal())
-        for a in idx for b in idx
-    })
-
-
-def random_series(rng, d, degree):
-    return SeriesCoeffs(d, {
-        a: complex(rng.standard_normal(), rng.standard_normal())
-        for a in enumerate_degree(d, degree)
-    })
-
-
-def sup(c):
-    return max((abs(v) for v in c.entries.values()), default=0.0)
-
-
-def sup_diff(c1, c2, max_degree=None):
-    keys = set(c1.entries) | set(c2.entries)
-    worst = 0.0
-    for k in keys:
-        if max_degree is not None and max(total_degree(k[0]), total_degree(k[1])) > max_degree:
-            continue
-        worst = max(worst, abs(c1.entries.get(k, 0.0) - c2.entries.get(k, 0.0)))
-    return worst
 
 
 def l2(c):

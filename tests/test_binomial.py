@@ -13,27 +13,7 @@ from fockcalc.multiindex import enumerate_degree, index_add, multi_binomial, tot
 from fockcalc.series import KernelCoeffs, kernel_delta
 from fockcalc.symbolcalc import compose_kernels, t0_bound_constant
 
-
-def random_kernel(rng, d, degree):
-    idx = enumerate_degree(d, degree)
-    return KernelCoeffs(d, d, {
-        (a, b): complex(rng.standard_normal(), rng.standard_normal())
-        for a in idx for b in idx
-    })
-
-
-def sup_diff(c1, c2, max_degree=None):
-    keys = set(c1.entries) | set(c2.entries)
-    worst = 0.0
-    for k in keys:
-        if max_degree is not None and max(total_degree(k[0]), total_degree(k[1])) > max_degree:
-            continue
-        worst = max(worst, abs(c1.entries.get(k, 0.0) - c2.entries.get(k, 0.0)))
-    return worst
-
-
-def sup(c):
-    return max((abs(v) for v in c.entries.values()), default=0.0)
+from _support import random_kernel, sup, sup_diff
 
 
 # --- defining sums --------------------------------------------------------------

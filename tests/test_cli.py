@@ -404,6 +404,34 @@ def test_overflow_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("error", [MemoryError("Unable to allocate 11.6 TiB for an array"), MemoryError()])
+def test_memory_error_is_one_json_error(files, monkeypatch, capsys, error):
+    # a t0_star of alpha = beta = 10^11 asks for such a binomial table; not run here,
+    # since whether that request fails at once depends on the host
+    import fockcalc.cli as cli
+
+    def exhausted(c, t):
+        raise error
+
+    monkeypatch.setattr(cli, "t0_star", exhausted)
+    out = files["tmp"] / "x.json"
+    assert run("transform", "--input", files["d11"], "--output", out, "--op", "t0star", "--t", "0") == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)["error"]
+    assert err == {"code": 4, "kind": "memory", "message": str(error) or "out of memory"}
+    assert not out.exists()
+
+
+def test_classify_infinite_order_at_a_large_degree(tmp_path, capsys):
+    # |alpha|^2 = 1.6e19 passes int64; the constant at r = 1 is about |alpha|, not 1.0
+    big = tmp_path / "big.json"
+    save_coeffs(KernelCoeffs(1, 1, {((4000000000,), (0,)): 1.0, ((0,), (0,)): 1.0}), big)
+    assert run("classify", "--input", big, "--family", "A", "--s1", "inf") == 0
+    constants = json.loads(capsys.readouterr().out)["constants"]
+    assert constants[0]["r"] == 1.0
+    assert abs(constants[0]["constant"] / 4e9 - 1.0) < 1e-12
+
 
 @pytest.mark.parametrize("argv", [
     ["verify", "--suite", "nope"],

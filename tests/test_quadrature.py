@@ -43,13 +43,7 @@ from fockcalc.symbolcalc import (
     wick_to_kernel,
 )
 
-
-def random_kernel(rng, d, degree):
-    idx = enumerate_degree(d, degree)
-    return KernelCoeffs(d, d, {
-        (a, b): complex(rng.standard_normal(), rng.standard_normal())
-        for a in idx for b in idx
-    })
+from _support import random_kernel
 
 
 # --- grids -------------------------------------------------------------------

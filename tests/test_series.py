@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 from decimal import Decimal
 from enum import IntEnum
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 
 from fockcalc import series
 from fockcalc.binomial import s0
-from fockcalc.errors import DimensionMismatch
+from fockcalc.errors import DimensionMismatch, DomainError
 from fockcalc.multiindex import enumerate_degree, index_add, multi_binomial, multi_factorial, validate_index
 from fockcalc.quadrature import gauss_hermite_grid
 from fockcalc.series import (
@@ -29,20 +30,27 @@ from fockcalc.series import (
     series_delta,
 )
 
-
-def random_kernel(rng, d, degree):
-    idx = enumerate_degree(d, degree)
-    return KernelCoeffs(d, d, {(a, b): complex(*rng.standard_normal(2)) for a in idx for b in idx})
-
-
-def random_series(rng, d, degree):
-    return SeriesCoeffs(d, {
-        a: complex(rng.standard_normal(), rng.standard_normal())
-        for a in enumerate_degree(d, degree)
-    })
+from _support import random_kernel, random_series
 
 
 # --- evaluation ------------------------------------------------------------
+
+INVALID_INDICES = [(-1,), (2, -3), (1.5,), (True,)]
+
+
+@pytest.mark.parametrize("alpha", INVALID_INDICES)
+def test_eval_basis_rejects_invalid_indices(alpha):
+    # (-1,) raised a bare IndexError from the power table
+    with pytest.raises(ValueError, match=re.escape(repr(alpha))):
+        eval_basis(alpha, np.full(len(alpha), 0.5))
+
+
+@pytest.mark.parametrize("alpha", INVALID_INDICES)
+def test_hermite_eval_rejects_invalid_indices(alpha):
+    # (-1,) returned h_0(0.5)
+    with pytest.raises(ValueError, match=re.escape(repr(alpha))):
+        hermite_eval(alpha, np.full(len(alpha), 0.5))
+
 
 def test_eval_basis_values():
     assert eval_basis((0,), 3.7 + 1j) == 1.0
@@ -481,6 +489,43 @@ def test_products_run_without_the_entries_view(monkeypatch):
     monkeypatch.undo()
     for g, e in zip(got, expect):
         _same_container(g, e)
+
+
+def test_pairings_and_weighted_norms_run_without_the_entries_view(monkeypatch):
+    # a2_bilinear, a2_inner and weighted_norm with a WeightSpec read the arrays only
+    from fockcalc.spaces import GrowthOrder, WeightSpec, weighted_norm
+
+    rng = np.random.default_rng(8)
+    F, G = _sparse_series(rng, 3, 6, 80), _sparse_series(rng, 3, 6, 80)
+    weights = [WeightSpec(GrowthOrder(kind, value), 1.5) for kind, value in
+               (("zero", None), ("real", 0.3), ("flat", 1.0), ("inf", None))]
+    runs = [lambda: a2_bilinear(F, G), lambda: a2_inner(F, G), lambda: a2_inner(G, G)]
+    runs += [lambda w=w, p=p: weighted_norm(G, w, p) for w in weights[1:] for p in (1, 2, math.inf)]
+    expect = [np.array(run()).tobytes() for run in runs]
+
+    def forbidden(self):
+        raise AssertionError("entries read")
+
+    monkeypatch.setattr(series._Coeffs, "entries", property(forbidden))
+    got = [np.array(run()).tobytes() for run in runs]
+    with pytest.raises(DomainError, match="infinite weight on support"):
+        weighted_norm(G, weights[0], 2)
+    monkeypatch.undo()
+    assert got == expect
+
+
+def test_a2_bilinear_matches_the_pairing_loop_on_sparse_supports():
+    # sums from +0.0 in F's entry order, so signed zeros and empty overlaps agree too
+    rng = np.random.default_rng(91)
+    for d in (1, 2, 3):
+        for n1, n2 in ((0, 5), (5, 0), (1, 1), (30, 200), (200, 30)):
+            F, G = _sparse_series(rng, d, 9, n1), _sparse_series(rng, d, 9, n2)
+            for a, b in ((F, G), (G, F), (F, F)):
+                want = complex(sum(v * b.entries[k] for k, v in a.entries.items() if k in b.entries))
+                assert np.array(a2_bilinear(a, b)).tobytes() == np.array(want).tobytes()
+    # the one product is (-0.0, +0.0) after underflow; the sum from +0.0 makes it +0.0
+    tiny, small = SeriesCoeffs(1, {(0,): -1e-200}), SeriesCoeffs(1, {(0,): 1e-200})
+    assert np.array(a2_bilinear(tiny, small)).tobytes() == np.array(0j).tobytes()
 
 
 def test_harmonic_oscillator_eigenvalues():

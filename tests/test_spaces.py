@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fockcalc import spaces
 from fockcalc.errors import DomainError, PreconditionError
 from fockcalc.multiindex import enumerate_degree, log_multi_factorial, total_degree
 from fockcalc.series import KernelCoeffs, SeriesCoeffs, eval_kernel, kernel_delta, series_delta
@@ -15,7 +16,9 @@ from fockcalc.spaces import (
     WeightSpec,
     classify,
     kappa_weight,
+    _exp,
     _is_divergent,
+    _log_norm,
     omega_weight,
     theta_weight,
     verify_pointwise_bound,
@@ -477,6 +480,132 @@ def test_classify_matches_per_entry_reference():
     assert cases == 4 * (6 * 25 + 6 * 16)
     assert verdicts == {"Consistent", "Inconsistent", "Indeterminate"}
 
+
+# --- weighted_norm against the per-key loop ---------------------------------------
+
+def log_theta_weight_reference(w, alpha):
+    """One key's log weight from Python scalars, as the per-key loop formed it."""
+    n, lf, r = total_degree(alpha), log_multi_factorial(alpha), w.r
+    if w.order.kind == "real":
+        return r * n ** (1.0 / (2.0 * w.order.value))
+    if w.order.kind == "flat":
+        return n * math.log(r) + lf / (2.0 * w.order.value)
+    if w.order.kind == "inf":
+        return float(0.5 * r * np.log1p(n * n))
+    return 0.0 if n <= r else math.inf
+
+
+def weighted_norm_reference(c, weight, p):
+    """The per-key loop that weighted_norm replaced: one log weight and one log|c| per key,
+    summed by the unchanged _log_norm."""
+    logs = []
+    for key, v in c.entries.items():
+        if isinstance(weight, WeightSpec):
+            lw = log_theta_weight_reference(weight, key)
+        else:
+            x = weight(key)
+            if x != math.inf and not x > 0:
+                raise DomainError(f"weight must be positive, got {x!r} at {key}")
+            lw = math.log(x)
+        if math.isinf(lw):
+            raise DomainError(f"infinite weight on support at {key}")
+        logs.append(math.log(abs(v)) + lw)
+    return _exp(_log_norm(logs, p))
+
+
+def _outcome(f):
+    try:
+        return np.float64(f()).tobytes()
+    except DomainError as exc:
+        return str(exc)
+
+
+def _sparse_growth_series(rng, d, degree, n_entries):
+    """Series on a random sparse support whose entry sizes span ten decades."""
+    idx = enumerate_degree(d, degree)
+    return SeriesCoeffs(d, {idx[i]: complex(*rng.standard_normal(2)) * 10.0 ** rng.uniform(-5, 5)
+                            for i in rng.integers(len(idx), size=n_entries)})
+
+
+WEIGHT_ORDERS = [GO.zero(), GO.real(0.2), GO.real(0.45), GO.real(0.5), GO.real(1.7),
+                 GO.flat(0.3), GO.flat(1), GO.flat(2.5), GO.infinity()]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_weighted_norm_matches_the_per_key_loop(d):
+    # bit for bit, errors included: the zero order at a small radius meets its infinite branch
+    rng = np.random.default_rng(60 + d)
+    degree = {1: 60, 2: 14, 3: 8}[d]
+    series = [SeriesCoeffs(d, {}), series_delta(d, (0,) * d, -2.5j)]
+    series += [_sparse_growth_series(rng, d, degree, n) for n in (1, 5, 40, 200)]
+    series.append(SeriesCoeffs(d, {a: complex(*rng.standard_normal(2)) for a in enumerate_degree(d, 5)}))
+    cases, errors = 0, 0
+    for F in series:
+        for order in WEIGHT_ORDERS:
+            for r in (0.3, 1.0, 7.5, 100.0):
+                w = WeightSpec(order, r)
+                for p in (1, 2, math.inf):
+                    got = _outcome(lambda: weighted_norm(F, w, p))
+                    assert got == _outcome(lambda: weighted_norm_reference(F, w, p)), (d, order, r, p)
+                    cases, errors = cases + 1, errors + isinstance(got, str)
+    assert cases == 7 * 9 * 4 * 3 and errors > 0
+
+
+def test_weighted_norm_takes_each_log_as_the_per_key_loop(monkeypatch):
+    # numpy's vector log differs from math.log in the last bit for a few values in ten
+    # thousand, most of them near 1; with unit weights the logs reach _log_norm unchanged
+    rng = np.random.default_rng(14)
+    idx = enumerate_degree(2, 199)
+    F = SeriesCoeffs(2, dict(zip(idx, ((rng.standard_normal((len(idx), 2)) @ [1, 1j])
+                                       * 10.0 ** rng.uniform(-3, 3, len(idx))).tolist())))
+    seen = []
+    monkeypatch.setattr(spaces, "_log_norm", lambda logs, p: seen.append(np.asarray(logs)) or _log_norm(logs, p))
+    weighted_norm(F, lambda key: 1.0, 2)
+    weighted_norm(F, WeightSpec(GO.flat(1), 1.0), 2)
+    want = np.array([math.log(abs(v)) for v in F.entries.values()])
+    assert seen[0].tobytes() == want.tobytes()
+    lw = np.array([log_theta_weight_reference(WeightSpec(GO.flat(1), 1.0), key) for key in F.entries])
+    assert seen[1].tobytes() == (want + lw).tobytes()
+
+
+def test_weighted_norm_callable_weights_keep_the_per_key_loop():
+    # a callable is called once per key in entry order until the first error, on series and kernels
+    rng = np.random.default_rng(12)
+    F = _sparse_growth_series(rng, 2, 6, 30)
+    K = KernelCoeffs(1, 2, {((i,), (j, i)): complex(*rng.standard_normal(2)) for i in range(5) for j in range(3)})
+    keys = list(F.entries)
+    weights = [lambda k: 1.0 + sum(map(sum, k)) if isinstance(k[0], tuple) else 1.0 + sum(k),
+               lambda k: {keys[4]: math.inf, keys[9]: -1.0}.get(k, 2.0),
+               lambda k: {keys[4]: 0.0, keys[9]: math.inf}.get(k, 2.0),
+               lambda k: math.nan if k == keys[7] else 3.0]
+    for c in (F, K):
+        for weight in weights:
+            for p in (1, 2, math.inf):
+                seen, seen_ref = [], []
+                got = _outcome(lambda: weighted_norm(c, lambda k: seen.append(k) or weight(k), p))
+                ref = _outcome(lambda: weighted_norm_reference(c, lambda k: seen_ref.append(k) or weight(k), p))
+                assert got == ref and seen == seen_ref
+    assert _outcome(lambda: weighted_norm(F, weights[1], 2)) == f"infinite weight on support at {keys[4]}"
+    assert _outcome(lambda: weighted_norm(F, weights[2], 2)) == f"weight must be positive, got 0.0 at {keys[4]}"
+
+
+def test_weighted_norm_weight_spec_needs_a_series():
+    K = kernel_delta(1, (1,), (2,))
+    with pytest.raises(TypeError, match="WeightSpec weighs series indices"):
+        weighted_norm(K, WeightSpec(GO.flat(1), 1.0), 2)
+    assert weighted_norm(K, lambda key: 2.0, 2) == 2.0
+    with pytest.raises(TypeError, match="WeightSpec or a callable"):
+        weighted_norm(series_delta(1, (1,)), 2.0, 2)
+
+
+def test_classify_sums_degrees_as_floats():
+    # |alpha| = 4e9: an int64 |alpha|^2 wraps past 2^63, a float one is exact
+    c = KernelCoeffs(1, 1, {((4000000000,), (0,)): 1.0, ((0,), (0,)): 1.0})
+    rep = classify(c, SpaceSpec("A", GO.infinity(), GO.infinity()), [1.0])
+    want = math.hypot(1.0, theta_weight(WeightSpec(GO.infinity(), 1.0), (4000000000,)))
+    assert abs(rep.fitted_constants[(1.0,)] - want) <= 1e-15 * want
+    F = SeriesCoeffs(1, {(4000000000,): 1.0, (0,): 1.0})
+    assert weighted_norm(F, WeightSpec(GO.infinity(), 1.0), 2) == weighted_norm_reference(F, WeightSpec(GO.infinity(), 1.0), 2)
 
 # --- pointwise bounds ----------------------------------------------------------
 

@@ -30,23 +30,7 @@ from fockcalc.symbolcalc import (
     wick_to_kernel,
 )
 
-
-def random_kernel(rng, d, degree):
-    idx = enumerate_degree(d, degree)
-    return KernelCoeffs(d, d, {
-        (a, b): complex(rng.standard_normal(), rng.standard_normal())
-        for a in idx for b in idx
-    })
-
-
-def sup_diff(c1, c2, max_degree=None):
-    keys = set(c1.entries) | set(c2.entries)
-    worst = 0.0
-    for k in keys:
-        if max_degree is not None and max(total_degree(k[0]), total_degree(k[1])) > max_degree:
-            continue
-        worst = max(worst, abs(c1.entries.get(k, 0.0) - c2.entries.get(k, 0.0)))
-    return worst
+from _support import random_kernel, sup_diff
 
 
 # --- kernel <-> wick ------------------------------------------------------------
