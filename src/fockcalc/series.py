@@ -72,12 +72,19 @@ def _runs(words: List[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return order, new
 
 
+def _numbered(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each row of a non-negative int array, the position of the first row equal
+    to it and the row's number among the distinct rows in key order."""
+    order, new = _runs(_pack(rows, int(rows.max(initial=0)) + 1)[0])
+    number = np.cumsum(new) - 1
+    first, rank = np.empty(len(rows), dtype=np.intp), np.empty(len(rows), dtype=np.intp)
+    first[order], rank[order] = order[new][number], number
+    return first, rank
+
+
 def _first_seen(rows: np.ndarray) -> np.ndarray:
     """For each row of a non-negative int array, the position of the first row equal to it."""
-    order, new = _runs(_pack(rows, int(rows.max(initial=0)) + 1)[0])
-    first = np.empty(len(rows), dtype=np.intp)
-    first[order] = order[new][np.cumsum(new) - 1]
-    return first
+    return _numbered(rows)[0]
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

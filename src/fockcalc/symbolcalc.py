@@ -18,10 +18,15 @@ import numpy as np
 from .binomial import l2_r_norm, t0, t0_star
 from .errors import DimensionMismatch, PreconditionError
 from .multiindex import MultiIndex, enumerate_degree
-from .series import KernelCoeffs, SeriesCoeffs, _first_seen
+from .series import KernelCoeffs, SeriesCoeffs, _first_seen, _numbered
 
 # products formed at once by compose_kernels (one row of K2 may take more)
 COMPOSE_BLOCK = 1 << 13
+# compose_kernels takes one matrix product when it has at most this many terms per
+# product of matching entries (half the crossover measured on one BLAS thread) ...
+COMPOSE_DENSE_RATIO = 128
+# ... and its three complex tiles take at most this many bytes
+COMPOSE_TILE_BYTES = 1 << 24
 
 
 @dataclass
@@ -86,12 +91,23 @@ def apply_operator(K: KernelCoeffs, F: SeriesCoeffs) -> SeriesCoeffs:
 def compose_kernels(K2: KernelCoeffs, K1: KernelCoeffs) -> KernelCoeffs:
     """Kernel of K2 after K1: c(alpha, delta) = sum_beta c2(alpha, beta) c1(beta, delta).
 
-    K1 is grouped by its row index beta, the index it shares with K2.  The
-    products are formed for whole rows alpha of K2 at a time, at most
-    COMPOSE_BLOCK of them per block unless one row alone has more (a row has
-    at most len(K1) products), so memory grows with the number of entries and
-    never with the index sets.  Each output entry adds its terms in the order
-    of a loop over K2's entries.
+    K1 is grouped by its row index beta, the index it shares with K2, and the
+    route follows the index structure.  Where the index sets are dense, that
+    is where the n_alpha n_beta n_delta terms of one matrix product are at
+    most COMPOSE_DENSE_RATIO times the products of matching entries, the
+    sums are that one product: its tiles take 16 (n_alpha n_beta + n_beta
+    n_delta + n_alpha n_delta) bytes, at most COMPOSE_TILE_BYTES or the
+    blocked route runs.  n_alpha counts the distinct alphas that take part;
+    n_beta and n_delta count K1's distinct betas and deltas, which bound
+    those that take part at no cost to the blocked route.  The three indices are numbered in key order there, so each sum
+    depends on the entries as a map and not on their order; its last bits
+    depend on the BLAS build, and for more than one output column on its
+    thread count.  Otherwise the products are formed for whole rows alpha of
+    K2 at a time, at most COMPOSE_BLOCK of them per block unless one row
+    alone has more (a row has at most len(K1) products), and each output
+    entry adds its terms in the order of a loop over K2's entries.  Either
+    way the entries come out by alpha, then delta, each in the order first
+    seen.
     """
     if K2.d1 != K1.d2:
         raise DimensionMismatch(f"inner dimensions differ: {K2.d1} vs {K1.d2}")
@@ -100,19 +116,44 @@ def compose_kernels(K2: KernelCoeffs, K1: KernelCoeffs) -> KernelCoeffs:
     n1 = len(idx1)
     # an index is numbered by the position of its first row; K1's betas come
     # first, so a K2 entry whose beta K1 lacks gets a number of n1 or more
-    inner = _first_seen(np.concatenate((idx1[:, :K1.d2], idx2[:, K2.d2:])))
+    inner, rank = _numbered(np.concatenate((idx1[:, :K1.d2], idx2[:, K2.d2:])))
     b1, b2 = inner[:n1], inner[n1:]
     matched = b2 < n1
     alphas, b2, v2 = idx2[matched, :K2.d2], b2[matched], v2[matched]
-    a2, c1 = _first_seen(alphas), _first_seen(idx1[:, K1.d2:])
+    if not len(b2):
+        return KernelCoeffs(K2.d2, K1.d1)
+    (a2, ra), (c1, rd) = _numbered(alphas), _numbered(idx1[:, K1.d2:])
+    row_len = np.bincount(b1)
+    counts = row_len[b2]
+    # the distinct alphas, and at most as many betas and deltas as K1 has
+    na, nb, nd = int(ra.max()) + 1, int(np.count_nonzero(row_len)), int(rd.max()) + 1
+    if (na * nb * nd <= COMPOSE_DENSE_RATIO * int(counts.sum())
+            and 16 * (na * nb + nb * nd + na * nd) <= COMPOSE_TILE_BYTES):
+        # the betas and deltas that take part, rows and columns in key order,
+        # so that no sum depends on the entry order
+        r1, r2 = rank[:n1], rank[n1:][matched]
+        hit = np.zeros(len(rank), dtype=bool)
+        hit[r2] = True
+        used = hit[r1]
+        seen = np.zeros(n1, dtype=bool)
+        seen[rd[used]] = True
+        nb, nd = int(np.count_nonzero(hit)), int(np.count_nonzero(seen))
+        beta, delta = np.cumsum(hit) - 1, np.cumsum(seen) - 1
+        left = np.zeros((na, nb), dtype=complex)
+        left[ra, beta[r2]] = v2
+        right = np.zeros((nb, nd), dtype=complex)
+        right[beta[r1[used]], delta[rd[used]]] = v1[used]
+        # gathered in the order first seen, as on the blocked route
+        alpha_at = np.flatnonzero(a2 == np.arange(len(a2)))
+        delta_at = np.flatnonzero((c1 == np.arange(n1)) & seen[rd])
+        product = (left @ right)[np.ix_(ra[alpha_at], delta[rd[delta_at]])]
+        return _gather(product, alphas[alpha_at], idx1[delta_at, K1.d2:])
     # K1 row by row (entry order within a row); K2 likewise
     by_row = np.argsort(b1, kind="stable")
     c1, v1 = c1[by_row], v1[by_row]
-    row_len = np.bincount(b1)
     row_start = np.cumsum(row_len) - row_len
     by_row = np.argsort(a2, kind="stable")
-    a2, b2, v2 = a2[by_row], b2[by_row], v2[by_row]
-    counts = row_len[b2]
+    a2, b2, v2, counts = a2[by_row], b2[by_row], v2[by_row], counts[by_row]
     before = np.concatenate(([0], np.cumsum(counts)))
     cuts = np.append(np.flatnonzero(np.diff(a2, prepend=-1)), len(a2))
     at = before[cuts]
@@ -135,13 +176,18 @@ def compose_kernels(K2: KernelCoeffs, K1: KernelCoeffs) -> KernelCoeffs:
         keys.append(distinct)
         re.append(np.bincount(group, weights=term_re))
         im.append(np.bincount(group, weights=term_im))
-    if not keys:
-        return KernelCoeffs(K2.d2, K1.d1)
     key = np.concatenate(keys)
     values = np.empty(len(key), dtype=complex)
     values.real, values.imag = np.concatenate(re), np.concatenate(im)
     index = np.concatenate((alphas[key // n1], idx1[key % n1, K1.d2:]), axis=1)
     return KernelCoeffs._from_arrays(K2.d2, K1.d1, index, values)
+
+
+def _gather(product: np.ndarray, alphas: np.ndarray, deltas: np.ndarray) -> KernelCoeffs:
+    """The nonzero entries of a dense product over rows ``alphas`` and columns ``deltas``, row by row."""
+    i, j = np.nonzero(product)
+    index = np.concatenate((alphas[i], deltas[j]), axis=1)
+    return KernelCoeffs._from_arrays(alphas.shape[1], deltas.shape[1], index, product[i, j])
 
 
 def twisted_product(a1: KernelCoeffs, a2: KernelCoeffs, out_degree: int | None = None) -> KernelCoeffs:
@@ -153,7 +199,9 @@ def twisted_product(a1: KernelCoeffs, a2: KernelCoeffs, out_degree: int | None =
     polynomial symbols is again polynomial, with degree at most the sum of
     the factor degrees.  The lowering reads only entries with |alpha| and
     |delta| <= target, so K1's rows and K2's columns above target are dropped
-    before the product; the kept entries' sums, and their order, do not change.
+    before the product.  On compose_kernels' blocked route the kept entries'
+    sums, and their order, do not change, so the output is the same bit for
+    bit; a matrix product over other index sets may round differently.
     """
     d = a1.d
     if a2.d != d:

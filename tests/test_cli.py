@@ -1,17 +1,21 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fockcalc import serialize
+from fockcalc import serialize, symbolcalc
 from fockcalc.binomial import t0
 from fockcalc.cli import main
 from fockcalc.multiindex import enumerate_degree
 from fockcalc.serialize import coeffs_from_jsonable, coeffs_to_jsonable, load_coeffs, save_coeffs
 from fockcalc.errors import SchemaError
 from fockcalc.series import KernelCoeffs, SeriesCoeffs, kernel_delta, series_delta
-from fockcalc.symbolcalc import identity_kernel
+from fockcalc.symbolcalc import apply_operator, identity_kernel
 
 
 @pytest.fixture
@@ -267,6 +271,45 @@ def test_apply_dimension_mismatch(files, tmp_path):
     save_coeffs(series_delta(2, (0, 0)), f2)
     out = tmp_path / "x.json"
     assert run("apply", "--kernel", files["ident"], "--series", f2, "--output", out) == 3
+
+
+def dense_apply_files(tmp_path):
+    """A dense (2,16) kernel and a series over its betas, written to files; the
+    series is built in an entry order other than the file's canonical one."""
+    rng = np.random.default_rng(12)
+    idx = enumerate_degree(2, 16)
+    K = KernelCoeffs(2, 2, {(a, b): complex(*rng.standard_normal(2)) for a in idx for b in idx})
+    F = SeriesCoeffs(2, {idx[i]: complex(*rng.standard_normal(2)) for i in rng.permutation(len(idx)).tolist()})
+    save_coeffs(K, tmp_path / "kernel.json")
+    save_coeffs(F, tmp_path / "series.json")
+    return K, F
+
+
+def test_apply_on_a_file_in_another_entry_order_writes_the_library_values(tmp_path, monkeypatch):
+    K, F = dense_apply_files(tmp_path)
+    assert list(load_coeffs(tmp_path / "series.json").entries) != list(F.entries)
+    calls, gather = [], symbolcalc._gather
+    monkeypatch.setattr(symbolcalc, "_gather", lambda *args: calls.append(1) or gather(*args))
+    out = tmp_path / "out.json"
+    assert run("apply", "--kernel", tmp_path / "kernel.json", "--series", tmp_path / "series.json",
+               "--output", out) == 0
+    assert calls == [1]  # the matrix-product route
+    assert load_coeffs(out).entries == apply_operator(K, F).entries
+
+
+def test_apply_output_does_not_depend_on_the_blas_thread_count(tmp_path):
+    dense_apply_files(tmp_path)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    texts = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        out = tmp_path / f"out{threads}.json"
+        subprocess.run([sys.executable, "-m", "fockcalc.cli", "apply", "--kernel", str(tmp_path / "kernel.json"),
+                        "--series", str(tmp_path / "series.json"), "--output", str(out)],
+                       env=env, check=True, timeout=120)
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1]
 
 
 # --- verify ----------------------------------------------------------------------

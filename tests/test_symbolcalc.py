@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -183,9 +184,48 @@ def random_sparse_kernel(rng, d, degree, n_entries):
     })
 
 
-@pytest.mark.parametrize("block", [16, symbolcalc.COMPOSE_BLOCK])
+def mapped(c, f):
+    """The container with f applied to each value."""
+    return type(c)(*(getattr(c, name) for name in c._DIMS), {k: f(v) for k, v in c.entries.items()})
+
+
+def take_route(monkeypatch, block):
+    """Send compose_kernels down the blocked route with this COMPOSE_BLOCK, or, for
+    block "dense", down the matrix product whatever its size."""
+    dense = block == "dense"
+    monkeypatch.setattr(symbolcalc, "COMPOSE_DENSE_RATIO", math.inf if dense else 0)
+    monkeypatch.setattr(symbolcalc, "COMPOSE_TILE_BYTES", math.inf)
+    if not dense:
+        monkeypatch.setattr(symbolcalc, "COMPOSE_BLOCK", block)
+
+
+U = 2.0 ** -53
+
+
+def gamma(k):
+    return k * U / (1 - k * U)
+
+
+def product_sum_bound(terms, magnitude):
+    """Largest distance between two evaluations of a sum of `terms` complex products
+    x y whose |x| |y| add up to `magnitude`, each in any order, with or without
+    fused multiply-adds: each part of each is within gamma(2 terms) of the sum of
+    |x_r y_r| + |x_i y_i| (or the imaginary pair), which is at most sqrt(2) |x| |y|
+    in modulus (Higham 2002, ch. 3)."""
+    return 2 * math.sqrt(2) * gamma(2 * terms) * magnitude
+
+
+def assert_within_product_sum_bound(out, ref, terms, magnitude):
+    """out has ref's keys, each value within product_sum_bound of ref's; terms and
+    magnitude hold each key's term count and magnitude sum."""
+    assert set(out.entries) == set(ref.entries)
+    for key, got in out.entries.items():
+        assert abs(got - ref.entries[key]) <= product_sum_bound(terms.entries[key].real, magnitude.entries[key].real)
+
+
+@pytest.mark.parametrize("block", [16, symbolcalc.COMPOSE_BLOCK, "dense"])
 def test_compose_matches_loop_reference(monkeypatch, block):
-    monkeypatch.setattr(symbolcalc, "COMPOSE_BLOCK", block)
+    take_route(monkeypatch, block)
     rng = np.random.default_rng(31)
     # the dense d = 3 pair has 35^3 products, more than one block of either size
     pairs = [(random_kernel(rng, 3, 4), random_kernel(rng, 3, 4))]
@@ -198,6 +238,12 @@ def test_compose_matches_loop_reference(monkeypatch, block):
         assert set(out.entries) == set(ref.entries)
         scale = max((abs(v) for v in ref.entries.values()), default=0.0)
         assert sup_diff(out, ref) <= 1e-14 * scale
+        if block == "dense":
+            take_route(monkeypatch, 16)
+            assert np.array_equal(out.arrays()[0], compose_kernels(K2, K1).arrays()[0])  # same entry order
+            take_route(monkeypatch, "dense")
+            terms = compose_reference(mapped(K2, lambda v: 1.0), mapped(K1, lambda v: 1.0))
+            assert_within_product_sum_bound(out, ref, terms, compose_reference(mapped(K2, abs), mapped(K1, abs)))
         # the output reads like a validated container: Python ints and complex
         for (a, b), v in out.entries.items():
             assert all(type(x) is int for x in a + b) and type(v) is complex
@@ -218,6 +264,67 @@ def test_compose_memory_grows_with_entries():
         tracemalloc.stop()
     assert out.entries == {(a, a): (1.0 + total_degree(a)) * 1j for a in idx}
     assert peak < 16 * 2 ** 20
+
+
+def record_dense_calls(monkeypatch):
+    """A list that gets one item per compose_kernels call that takes the matrix product."""
+    calls, gather = [], symbolcalc._gather
+    monkeypatch.setattr(symbolcalc, "_gather", lambda *args: calls.append(1) or gather(*args))
+    return calls
+
+
+def test_compose_route_follows_the_index_structure(monkeypatch):
+    calls = record_dense_calls(monkeypatch)
+    rng = np.random.default_rng(33)
+    dense = (random_kernel(rng, 3, 4), random_kernel(rng, 3, 4))
+    sparse = (random_sparse_kernel(rng, 3, 24, 2000), random_sparse_kernel(rng, 3, 24, 2000))
+    idx = enumerate_degree(3, 24)
+    diagonal = KernelCoeffs(3, 3, {(a, a): 1.0 for a in idx})
+    out = compose_kernels(*dense)
+    assert calls == [1]
+    # with no byte budget the ratio alone keeps the sparse inputs on the blocked route
+    monkeypatch.setattr(symbolcalc, "COMPOSE_TILE_BYTES", math.inf)
+    compose_kernels(*sparse)
+    compose_kernels(diagonal, diagonal)
+    assert calls == [1]
+    # dense tiles over the byte budget take the blocked route too
+    monkeypatch.setattr(symbolcalc, "COMPOSE_TILE_BYTES", 1024)
+    blocked = compose_kernels(*dense)
+    assert calls == [1]
+    assert np.array_equal(blocked.arrays()[0], out.arrays()[0])
+
+
+def test_dense_route_sums_do_not_depend_on_entry_order(monkeypatch):
+    calls = record_dense_calls(monkeypatch)
+    rng = np.random.default_rng(34)
+    for d, degree in ((1, 10), (2, 5), (3, 3)):
+        K2, K1 = random_kernel(rng, d, degree), random_kernel(rng, d, degree)
+        out = compose_kernels(K2, K1)
+        again = compose_kernels(K2, K1)
+        assert [x.tobytes() for x in out.arrays()] == [x.tobytes() for x in again.arrays()]
+        for _ in range(2):
+            shuffled = []
+            for K in (K2, K1):
+                items = list(K.entries.items())
+                shuffled.append(KernelCoeffs(d, d, dict(items[i] for i in rng.permutation(len(items)))))
+            other = compose_kernels(*shuffled).entries
+            keys = list(out.entries)
+            assert set(other) == set(keys)
+            assert (np.array([out.entries[k] for k in keys]).tobytes()
+                    == np.array([other[k] for k in keys]).tobytes())
+    assert len(calls) == 12
+
+
+def test_dense_route_overflow_raises_overflow_error_without_a_warning(monkeypatch):
+    calls = record_dense_calls(monkeypatch)
+    # the two products are +inf and -inf: their sum is not a number
+    K2 = KernelCoeffs(1, 1, {((0,), (0,)): 1e200, ((0,), (1,)): 1e200})
+    K1 = KernelCoeffs(1, 1, {((0,), (0,)): 1e200, ((1,), (0,)): -1e200})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError):
+            compose_kernels(K2, K1)
+    assert calls == [1]
 
 
 # --- twisted product --------------------------------------------------------------
@@ -264,9 +371,8 @@ def twisted_unmasked_reference(a1, a2, out_degree=None):
     return t0(raised, -1.0, out_degree=target)
 
 
-@pytest.mark.parametrize("d,degree", [(1, 4), (2, 2), (3, 1)])
-@pytest.mark.parametrize("keep", [1.0, 0.3])
-def test_twisted_product_equals_unmasked_route_bit_for_bit(d, degree, keep):
+def twisted_cases(d, degree, keep):
+    """Two pairs of random symbols, each at the out-degrees None, 1, degree and 3 degree."""
     rng = np.random.default_rng(70 + d)
     idx = enumerate_degree(d, degree)
 
@@ -277,10 +383,48 @@ def test_twisted_product_equals_unmasked_route_bit_for_bit(d, degree, keep):
     for _ in range(2):
         a1, a2 = symbol(), symbol()
         for out_degree in (None, 1, degree, 3 * degree):
-            out = twisted_product(a1, a2, out_degree)
-            (i1, v1), (i2, v2) = out.arrays(), twisted_unmasked_reference(a1, a2, out_degree).arrays()
-            assert i1.tolist() == i2.tolist()
-            assert v1.tobytes() == v2.tobytes()
+            yield a1, a2, out_degree
+
+
+@pytest.mark.parametrize("d,degree", [(1, 4), (2, 2), (3, 1)])
+@pytest.mark.parametrize("keep", [1.0, 0.3])
+def test_twisted_product_equals_unmasked_route_bit_for_bit(monkeypatch, d, degree, keep):
+    take_route(monkeypatch, symbolcalc.COMPOSE_BLOCK)
+    for a1, a2, out_degree in twisted_cases(d, degree, keep):
+        out = twisted_product(a1, a2, out_degree)
+        (i1, v1), (i2, v2) = out.arrays(), twisted_unmasked_reference(a1, a2, out_degree).arrays()
+        assert i1.tolist() == i2.tolist()
+        assert v1.tobytes() == v2.tobytes()
+
+
+@pytest.mark.parametrize("d,degree", [(1, 4), (2, 2), (3, 1)])
+@pytest.mark.parametrize("keep", [1.0, 0.3])
+def test_twisted_product_dense_route_within_magnitude_bound(monkeypatch, d, degree, keep):
+    """The matrix-product route against the blocked one, per entry, within the
+    distance that rounding allows them: the composed kernels C differ by at
+    most product_sum_bound of compose(|K1|, |K2|), and the lowering t0(., -1),
+    whose weights w_g are each within gamma(3) of exact, sums at most
+    target + 1 copies per slot on each of d axes, so each result is within
+    (g_c + g_l + g_c g_l) t0(compose(|K1|, |K2|), 1) of the exact product, with
+    g_c = sqrt(2) gamma(2 n), n the largest term count of C, and
+    g_l = gamma(d (target + 4))."""
+    for a1, a2, out_degree in twisted_cases(d, degree, keep):
+        deg1, deg2 = a1.support_degree(), a2.support_degree()
+        target = deg1 + deg2 if out_degree is None else out_degree
+        inner = target + max(deg1, deg2)
+        K1, K2 = t0(a1, 1.0, out_degree=inner), t0(a2, 1.0, out_degree=inner)
+        terms = compose_reference(mapped(K1, lambda v: 1.0), mapped(K2, lambda v: 1.0))
+        g_c = math.sqrt(2) * gamma(2 * max((v.real for v in terms.entries.values()), default=0))
+        g_l = gamma(d * (target + 4))
+        size = t0(compose_reference(mapped(K1, abs), mapped(K2, abs)), 1.0, out_degree=target).entries
+        take_route(monkeypatch, symbolcalc.COMPOSE_BLOCK)
+        blocked = twisted_product(a1, a2, out_degree)
+        take_route(monkeypatch, "dense")
+        out = twisted_product(a1, a2, out_degree)
+        # an entry that cancels may come out as an exact zero on one route only
+        for key in set(out.entries) | set(blocked.entries):
+            diff = abs(out.entries.get(key, 0) - blocked.entries.get(key, 0))
+            assert diff <= 2 * (g_c + g_l + g_c * g_l) * size[key].real
 
 
 def test_negative_out_degree_is_a_precondition_error():
@@ -475,9 +619,9 @@ def random_series_over(rng, d, degree, keep=1.0):
     })
 
 
-@pytest.mark.parametrize("block", [16, symbolcalc.COMPOSE_BLOCK])
+@pytest.mark.parametrize("block", [16, symbolcalc.COMPOSE_BLOCK, "dense"])
 def test_apply_matches_loop_reference(monkeypatch, block):
-    monkeypatch.setattr(symbolcalc, "COMPOSE_BLOCK", block)
+    take_route(monkeypatch, block)
     rng = np.random.default_rng(47)
     cases = []
     for d, degree in ((1, 12), (2, 5), (3, 3)):
@@ -497,9 +641,13 @@ def test_apply_matches_loop_reference(monkeypatch, block):
         out, ref = apply_operator(K, F), apply_reference(K, F)
         assert out.d == ref.d
         (oi, ov), (ri, rv) = out.arrays(), ref.arrays()
-        # bit for bit, in entry order
+        # in entry order; bit for bit on the blocked route
         assert np.array_equal(oi, ri)
-        assert ov.view(np.int64).tolist() == rv.view(np.int64).tolist()
+        if block == "dense":
+            terms = apply_reference(mapped(K, lambda v: 1.0), mapped(F, lambda v: 1.0))
+            assert_within_product_sum_bound(out, ref, terms, apply_reference(mapped(K, abs), mapped(F, abs)))
+        else:
+            assert ov.view(np.int64).tolist() == rv.view(np.int64).tolist()
         assert all(type(x) is int for a in out.entries for x in a)
 
 
