@@ -28,14 +28,11 @@ from typing import List
 import numpy as np
 
 from .errors import PreconditionError
-from .series import KernelCoeffs, _pack, _runs
+from .series import KernelCoeffs, _blocks, _pack, _runs
 
 DEFAULT_EXTENSION = 8
 
 _I_POWERS = np.array((1.0, 1j, -1.0, -1j))
-
-# copies formed at once by one sweep pass (one line alone may take more)
-SWEEP_BLOCK = 1 << 13
 
 
 def _powers(t: complex, n: int) -> List[complex]:
@@ -90,8 +87,9 @@ def _sweep(c: KernelCoeffs, t: complex, out_degree: int | None) -> KernelCoeffs:
 
     Copies meet only if their entries lie on one line of the axis: equal
     indices off axis j and equal a_j - b_j.  A pass sorts the entries by line,
-    stably, then forms the copies of whole lines, about SWEEP_BLOCK at a time,
-    and sums them into slots (line, min(a_j, b_j)).
+    stably, then forms the copies of whole lines in ``_blocks``, each line
+    taking ``radix`` slots (line, min(a_j, b_j)) of a block's sums, so the
+    block size moves no bit.
     """
     d = c.d
     if not len(c):
@@ -114,7 +112,6 @@ def _sweep(c: KernelCoeffs, t: complex, out_degree: int | None) -> KernelCoeffs:
     tp_re = np.array([p.real for p in tp])
     tp_im = np.array([p.imag for p in tp])
     step = 1 if raising else -1
-    lines_per_block = max(SWEEP_BLOCK // radix, 1)
     for j in range(d):
         if not re.size:
             break
@@ -131,18 +128,11 @@ def _sweep(c: KernelCoeffs, t: complex, out_degree: int | None) -> KernelCoeffs:
         counts = np.minimum(out_degree - deg if raising else low, g_max) + 1
         np.maximum(counts, 0, out=counts)
         line_id = new.cumsum() - 1
-        starts = np.concatenate((new.nonzero()[0], [len(order)]))
-        ends = counts.cumsum()
-        at = np.concatenate(([0], ends))[starts]  # copies before each line
+        starts = new.nonzero()[0]
         out_words: List[List[np.ndarray]] = [[] for _ in words]
         out_re, out_im, out_deg = [], [], []
-        i = 0
-        while i < len(starts) - 1:
-            k = int(np.searchsorted(at, at[i] + SWEEP_BLOCK, side="right")) - 1
-            k = min(max(k, i + 1), i + lines_per_block, len(starts) - 1)
-            lo, hi = starts[i], starts[k]
+        for i, k, lo, hi, g in _blocks(counts, starts, radix):
             cnt = counts[lo:hi]
-            g = np.arange(at[k] - at[i]) - (ends[lo:hi] - cnt - at[i]).repeat(cnt)
             ka = aj[lo:hi].repeat(cnt)
             kb = bj[lo:hi].repeat(cnt)
             if not raising:
@@ -168,7 +158,6 @@ def _sweep(c: KernelCoeffs, t: complex, out_degree: int | None) -> KernelCoeffs:
             out_re.append(sum_re[hit])
             out_im.append(sum_im[hit])
             out_deg.append(deg[src] - low[src] + pos)
-            i = k
         words = [np.concatenate(out) for out in out_words]
         re, im, deg = np.concatenate(out_re), np.concatenate(out_im), np.concatenate(out_deg)
     values = np.empty(len(re), dtype=complex)

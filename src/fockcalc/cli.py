@@ -47,13 +47,20 @@ TRANSFORMS = {
 
 
 def _parse_complex(text: str) -> complex:
-    parts = text.split(",")
-    if len(parts) > 2:
-        raise ValueError(f"cannot parse complex flag {text!r}; expected 're' or 're,im'")
-    value = complex(*(float(p) for p in parts))
+    try:  # complex() takes at most two parts
+        value = complex(*map(float, text.split(",")))
+    except (TypeError, ValueError):
+        raise ValueError(f"cannot parse --t {text!r}; expected 're' or 're,im'") from None
     if not cmath.isfinite(value):
         raise ValueError(f"--t must be finite, got {text!r}")
     return value
+
+
+def _non_negative_int(text: str) -> int:
+    """An argument type, so that argparse's error names the argument."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _emit_error(code: int, kind: str, message: str) -> int:
@@ -158,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", required=True, choices=SUITES)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--report", default=None, help="path for the JSON report")
     p.set_defaults(fn=cmd_verify)
 

@@ -86,7 +86,3 @@ def multi_factorial(alpha: Sequence[int]) -> int:
 def log_multi_factorial(alpha: Sequence[int]) -> float:
     """log(alpha!) through lgamma; safe for degrees where alpha! overflows floats."""
     return sum(math.lgamma(a + 1) for a in alpha)
-
-
-def index_add(alpha: MultiIndex, gamma: MultiIndex) -> MultiIndex:
-    return tuple(a + g for a, g in zip(alpha, gamma))

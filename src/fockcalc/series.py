@@ -19,7 +19,7 @@ import contextlib
 import math
 from itertools import chain
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Tuple
 
 import numpy as np
 
@@ -32,7 +32,7 @@ LADDER_MULTIPLY = "multiply"
 LADDER_DIFFERENTIATE = "differentiate"
 
 _INT64_SPAN = 2 ** 63
-_BLOCK_VALUES = 4096   # block size: eval_kernel's entry-point values (at most), _shifted_products' pairs (about)
+BLOCK = 1 << 13  # float terms formed at once by a blocked array pass: 64 KB per temporary
 
 
 def _pack(cols: np.ndarray, radix: int) -> tuple[List[np.ndarray], List[tuple[int, int]]]:
@@ -80,6 +80,27 @@ def _numbered(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     first, rank = np.empty(len(rows), dtype=np.intp), np.empty(len(rows), dtype=np.intp)
     first[order], rank[order] = order[new][number], number
     return first, rank
+
+
+def _blocks(counts: np.ndarray, firsts: np.ndarray, width: int = 0) -> Iterator[tuple]:
+    """Cut a pass over entries into blocks of whole groups of consecutive entries.
+
+    ``counts`` holds each entry's term count and ``firsts`` the first entry of
+    each group, ascending from 0.  A block holds at most BLOCK terms unless one
+    group alone has more; where each group takes ``width`` slots of a table, it
+    also holds at most BLOCK // width groups.  Yields, per block, its first and
+    end group, its first and end entry and each term's step within its entry.
+    """
+    bounds = np.append(firsts, len(counts))
+    before = np.concatenate(([0], np.cumsum(counts)))  # terms before each entry
+    at = before[bounds]  # terms before each group
+    cap = max(BLOCK // width, 1) if width else len(firsts)
+    i = 0
+    while i < len(firsts):
+        k = min(max(int(np.searchsorted(at, at[i] + BLOCK, side="right")) - 1, i + 1), i + cap)
+        lo, hi = bounds[i], bounds[k]
+        yield i, k, lo, hi, np.arange(at[k] - at[i]) - (before[lo:hi] - at[i]).repeat(counts[lo:hi])
+        i = k
 
 
 def _first_seen(rows: np.ndarray) -> np.ndarray:
@@ -347,9 +368,10 @@ def eval_kernel(K: KernelCoeffs, z, w) -> complex | np.ndarray:
     """sum c(alpha, beta) e_alpha(z) e_beta(conj(w)); z and w broadcast over points.
 
     The basis values come from per-axis power tables over the distinct alphas
-    and betas.  The entries are summed in blocks that hold at most
-    _BLOCK_VALUES entry-point values (one entry at least): 64 KB temporaries,
-    which the allocator reuses instead of mapping fresh pages for each.
+    and betas.  The entries are summed in blocks that hold at most BLOCK // 2
+    complex entry-point values (one entry at least): 64 KB temporaries, which
+    the allocator reuses instead of mapping fresh pages for each.  The block
+    sets the order of the sums, so it is part of the result.
     """
     zp, zs = _as_points(z, K.d2)
     wp, ws = _as_points(w, K.d1)
@@ -359,7 +381,7 @@ def eval_kernel(K: KernelCoeffs, z, w) -> complex | np.ndarray:
     (arows, ai, atops), (brows, bi, btops) = K._distinct()
     ez, ew = _basis_rows(arows, atops, zp), _basis_rows(brows, btops, np.conj(wp))
     n = max(len(zp), len(wp))
-    step = max(1, _BLOCK_VALUES // n)
+    step = max(1, BLOCK // 2 // n)
     acc = np.zeros(n, dtype=complex)
     for s in range(0, len(values), step):
         e = slice(s, s + step)
@@ -443,18 +465,18 @@ def _shifted_products(F1: SeriesCoeffs, F2: SeriesCoeffs, sign: int) -> SeriesCo
     """sum over pairs (alpha of F1, beta of F2) of sqrt(C(hi, alpha)) c1(alpha) c2(beta) at
     the key beta + sign * alpha, hi the larger of beta and the key; negative keys are dropped.
 
-    Pairs of whole entries of F1 are formed about _BLOCK_VALUES at a time; each axis factor
-    sqrt(C(hi_j, alpha_j)) is computed once per distinct (hi_j, alpha_j) of a block.  A block's
-    sums start from the earlier blocks' sums, so each key adds its terms in the order of a loop
-    over F1, then F2, and keys come out in the order first reached."""
+    The pairs of whole entries of F1, n2 = len(F2) each, are formed in ``_blocks``; each axis
+    factor sqrt(C(hi_j, alpha_j)) is computed once per distinct (hi_j, alpha_j) of a block.  A
+    block's sums start from the earlier blocks' sums, so each key adds its terms in the order of
+    a loop over F1, then F2, whatever the block size, and keys come out in the order first
+    reached."""
     if F1.d != F2.d:
         raise DimensionMismatch(f"series dimensions differ: {F1.d} vs {F2.d}")
     (idx1, v1), (idx2, v2) = F1.arrays(), F2.arrays()
     n2 = len(idx2)
-    block = max(_BLOCK_VALUES // n2, 1) * n2 if n2 else 1
     keys, re, im = idx1[:0], np.empty(0), np.empty(0)
-    for p in range(0, len(idx1) * n2, block):
-        i1, i2 = np.divmod(np.arange(p, min(p + block, len(idx1) * n2)), n2)
+    for _, _, lo, hi, i2 in _blocks(np.full(len(idx1), n2), np.arange(len(idx1))):
+        i1 = np.arange(lo, hi).repeat(n2)
         key = idx2[i2] + sign * idx1[i1]
         if sign > 0 and (key < 0).any():  # int64 wrapped past 2**63 - 1
             raise ValueError("multi-index entries must be non-negative integers below 2**63")

@@ -72,7 +72,11 @@ class GrowthOrder:
         if ":" in t:
             kind, _, val = t.partition(":")
             if kind in ("real", "flat"):
-                return cls(kind, float(val))
+                try:
+                    value = float(val)
+                except ValueError:
+                    raise ValueError(f"cannot parse growth order {text!r}: {val!r} is not a number") from None
+                return cls(kind, value)
         raise ValueError(f"cannot parse growth order {text!r}")
 
     def _sort_key(self) -> Tuple[int, float]:

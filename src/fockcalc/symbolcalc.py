@@ -18,10 +18,8 @@ import numpy as np
 from .binomial import l2_r_norm, t0, t0_star
 from .errors import DimensionMismatch, PreconditionError
 from .multiindex import MultiIndex, enumerate_degree
-from .series import KernelCoeffs, SeriesCoeffs, _first_seen, _numbered
+from .series import KernelCoeffs, SeriesCoeffs, _blocks, _first_seen, _numbered
 
-# products formed at once by compose_kernels (one row of K2 may take more)
-COMPOSE_BLOCK = 1 << 13
 # compose_kernels takes one matrix product when it has at most this many terms per
 # product of matching entries (half the crossover measured on one BLAS thread) ...
 COMPOSE_DENSE_RATIO = 128
@@ -103,11 +101,10 @@ def compose_kernels(K2: KernelCoeffs, K1: KernelCoeffs) -> KernelCoeffs:
     depends on the entries as a map and not on their order; its last bits
     depend on the BLAS build, and for more than one output column on its
     thread count.  Otherwise the products are formed for whole rows alpha of
-    K2 at a time, at most COMPOSE_BLOCK of them per block unless one row
-    alone has more (a row has at most len(K1) products), and each output
-    entry adds its terms in the order of a loop over K2's entries.  Either
-    way the entries come out by alpha, then delta, each in the order first
-    seen.
+    K2 at a time in ``_blocks`` (a row has at most len(K1) products), and
+    each output entry adds its terms in the order of a loop over K2's
+    entries, whatever the block size.  Either way the entries come out by
+    alpha, then delta, each in the order first seen.
     """
     if K2.d1 != K1.d2:
         raise DimensionMismatch(f"inner dimensions differ: {K2.d1} vs {K1.d2}")
@@ -154,18 +151,10 @@ def compose_kernels(K2: KernelCoeffs, K1: KernelCoeffs) -> KernelCoeffs:
     row_start = np.cumsum(row_len) - row_len
     by_row = np.argsort(a2, kind="stable")
     a2, b2, v2, counts = a2[by_row], b2[by_row], v2[by_row], counts[by_row]
-    before = np.concatenate(([0], np.cumsum(counts)))
-    cuts = np.append(np.flatnonzero(np.diff(a2, prepend=-1)), len(a2))
-    at = before[cuts]
     keys, re, im = [], [], []
-    i = 0
-    while i < len(cuts) - 1:
-        k = max(int(np.searchsorted(at, at[i] + COMPOSE_BLOCK, side="right")) - 1, i + 1)
-        lo, hi = cuts[i], cuts[k]
-        i = k
+    for _, _, lo, hi, step in _blocks(counts, np.flatnonzero(np.diff(a2, prepend=-1))):
         cnt = counts[lo:hi]
-        total = int(before[hi] - before[lo])  # at least one: every beta left has a row in K1
-        s1 = np.arange(total) + np.repeat(row_start[b2[lo:hi]] - (before[lo:hi] - before[lo]), cnt)
+        s1 = step + np.repeat(row_start[b2[lo:hi]], cnt)
         x2, x1 = np.repeat(v2[lo:hi], cnt), v1[s1]
         # complex multiply part by part
         term_re = x2.real * x1.real - x2.imag * x1.imag

@@ -1,5 +1,5 @@
-"""Test helpers shared by several test modules: random dense containers and
-sup-norm distances between containers."""
+"""Test helpers shared by several test modules: random dense containers,
+sup-norm distances between containers and multi-index sums."""
 
 from fockcalc.multiindex import enumerate_degree, total_degree
 from fockcalc.series import KernelCoeffs, SeriesCoeffs
@@ -18,6 +18,10 @@ def random_series(rng, d, degree):
         a: complex(rng.standard_normal(), rng.standard_normal())
         for a in enumerate_degree(d, degree)
     })
+
+
+def index_add(alpha, gamma):
+    return tuple(a + g for a, g in zip(alpha, gamma))
 
 
 def sup(c):

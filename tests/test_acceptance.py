@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from fockcalc.binomial import l2_r_norm, s0, s0_inv, t0, t0_star
-from fockcalc.multiindex import enumerate_degree, index_add, log_multi_factorial, total_degree
+from fockcalc.multiindex import enumerate_degree, log_multi_factorial, total_degree
 from fockcalc.quadrature import (
     antiwick_apply_quad,
     bargmann_quad,
@@ -45,7 +45,7 @@ from fockcalc.symbolcalc import (
     wick_to_kernel,
 )
 
-from _support import random_kernel, random_series, sup, sup_diff
+from _support import index_add, random_kernel, random_series, sup, sup_diff
 
 M_NODES = 64
 T_VALUES = (1.0, -1.0, 0.5 + 0.3j)

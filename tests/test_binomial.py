@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fockcalc import binomial
+from fockcalc import series
 from fockcalc.binomial import l2_r_norm, s0, s0_inv, t0, t0_star
 from fockcalc.errors import DimensionMismatch
-from fockcalc.multiindex import enumerate_degree, index_add, multi_binomial, total_degree
+from fockcalc.multiindex import enumerate_degree, multi_binomial, total_degree
 from fockcalc.series import KernelCoeffs, kernel_delta
 from fockcalc.symbolcalc import compose_kernels, t0_bound_constant
 
-from _support import random_kernel, sup, sup_diff
+from _support import index_add, random_kernel, sup, sup_diff
 
 
 # --- defining sums --------------------------------------------------------------
@@ -218,7 +218,7 @@ def test_sweep_matches_loop_reference():
 
 def test_sweep_blocks_match_loop_reference(monkeypatch):
     # a block of 16 copies splits every pass into many blocks
-    monkeypatch.setattr(binomial, "SWEEP_BLOCK", 16)
+    monkeypatch.setattr(series, "BLOCK", 16)
     rng = np.random.default_rng(77)
     kernels = [random_kernel(rng, 1, 10)]
     kernels += [random_sparse_kernel(rng, d, degree, 40) for d, degree in ((1, 12), (2, 8), (3, 5))]

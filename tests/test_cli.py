@@ -523,6 +523,30 @@ def test_transform_rejects_t_that_is_not_finite(files, capsys, t):
     assert not out.exists()
 
 
+def test_verify_rejects_a_negative_seed_as_an_argument_error(capsys):
+    assert run("verify", "--suite", "identities", "--seed", "-1") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)["error"]
+    assert err["code"] == 2 and err["kind"] == "schema" and "--seed" in err["message"]
+
+
+def test_transform_names_t_that_is_not_a_number(files, capsys):
+    out = files["tmp"] / "x.json"
+    assert run("transform", "--input", files["d11"], "--output", out, "--op", "t0", "--t", "abc") == 4
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["kind"] == "precondition" and "--t" in err["message"] and "'abc'" in err["message"]
+    assert not out.exists()
+
+
+def test_classify_names_a_growth_order_that_is_not_a_number(files, capsys):
+    assert run("classify", "--input", files["fact"], "--family", "Adual", "--s1", "flat:abc") == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)["error"]
+    assert err["kind"] == "precondition" and "growth order 'flat:abc'" in err["message"]
+
+
 def test_transform_ops_are_looked_up_when_run(files, monkeypatch):
     # a replaced module attribute (a tracing wrapper, say) is the function that runs
     import fockcalc.cli as cli

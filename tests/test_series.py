@@ -11,7 +11,7 @@ import pytest
 from fockcalc import series
 from fockcalc.binomial import s0
 from fockcalc.errors import DimensionMismatch, DomainError
-from fockcalc.multiindex import enumerate_degree, index_add, multi_binomial, multi_factorial, validate_index
+from fockcalc.multiindex import enumerate_degree, multi_binomial, multi_factorial, validate_index
 from fockcalc.quadrature import gauss_hermite_grid
 from fockcalc.series import (
     KernelCoeffs,
@@ -30,7 +30,7 @@ from fockcalc.series import (
     series_delta,
 )
 
-from _support import random_kernel, random_series
+from _support import index_add, random_kernel, random_series
 
 
 # --- evaluation ------------------------------------------------------------
@@ -162,7 +162,7 @@ def test_eval_matches_per_entry_reference(d, degree):
 
 def test_eval_kernel_entry_blocks_match_reference(monkeypatch):
     # 80 entries on 50 points summed in blocks of 7: eleven full blocks and a partial last one
-    monkeypatch.setattr(series, "_BLOCK_VALUES", 7 * 50 + 3)
+    monkeypatch.setattr(series, "BLOCK", 2 * (7 * 50 + 3))
     rng = np.random.default_rng(64)
     K = KernelCoeffs(1, 1, {((k,), (k,)): complex(*rng.standard_normal(2)) for k in range(80)})
     pts, other = random_points(rng, 1, 50, 0.9), random_points(rng, 1, 50, 0.9)
@@ -443,7 +443,7 @@ def test_multiply_and_diamond_match_the_pair_loops(d):
              (empty, random_series(rng, d, 2)), (random_series(rng, d, 2), empty),
              (_sparse_series(rng, d, 5, 1), _sparse_series(rng, d, 8, 40))]
     cases += [(G, F) for F, G in cases]
-    if d == 1:  # 301 x 121 pairs take 10 blocks of whole entries of the first factor
+    if d == 1:  # 301 x 121 pairs take 5 blocks of whole entries of the first factor
         long, short = _sparse_series(rng, 1, 300, 301), _sparse_series(rng, 1, 120, 121)
         cases += [(long, short), (short, long)]
     for F1, F2 in cases:

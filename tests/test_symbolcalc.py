@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fockcalc import symbolcalc
+from fockcalc import series, symbolcalc
 from fockcalc.binomial import t0
 from fockcalc.errors import DimensionMismatch, PreconditionError
 from fockcalc.multiindex import enumerate_degree, total_degree
@@ -190,13 +190,13 @@ def mapped(c, f):
 
 
 def take_route(monkeypatch, block):
-    """Send compose_kernels down the blocked route with this COMPOSE_BLOCK, or, for
+    """Send compose_kernels down the blocked route with this block size, or, for
     block "dense", down the matrix product whatever its size."""
     dense = block == "dense"
     monkeypatch.setattr(symbolcalc, "COMPOSE_DENSE_RATIO", math.inf if dense else 0)
     monkeypatch.setattr(symbolcalc, "COMPOSE_TILE_BYTES", math.inf)
     if not dense:
-        monkeypatch.setattr(symbolcalc, "COMPOSE_BLOCK", block)
+        monkeypatch.setattr(series, "BLOCK", block)
 
 
 U = 2.0 ** -53
@@ -223,7 +223,7 @@ def assert_within_product_sum_bound(out, ref, terms, magnitude):
         assert abs(got - ref.entries[key]) <= product_sum_bound(terms.entries[key].real, magnitude.entries[key].real)
 
 
-@pytest.mark.parametrize("block", [16, symbolcalc.COMPOSE_BLOCK, "dense"])
+@pytest.mark.parametrize("block", [16, series.BLOCK, "dense"])
 def test_compose_matches_loop_reference(monkeypatch, block):
     take_route(monkeypatch, block)
     rng = np.random.default_rng(31)
@@ -389,7 +389,7 @@ def twisted_cases(d, degree, keep):
 @pytest.mark.parametrize("d,degree", [(1, 4), (2, 2), (3, 1)])
 @pytest.mark.parametrize("keep", [1.0, 0.3])
 def test_twisted_product_equals_unmasked_route_bit_for_bit(monkeypatch, d, degree, keep):
-    take_route(monkeypatch, symbolcalc.COMPOSE_BLOCK)
+    take_route(monkeypatch, series.BLOCK)
     for a1, a2, out_degree in twisted_cases(d, degree, keep):
         out = twisted_product(a1, a2, out_degree)
         (i1, v1), (i2, v2) = out.arrays(), twisted_unmasked_reference(a1, a2, out_degree).arrays()
@@ -417,7 +417,7 @@ def test_twisted_product_dense_route_within_magnitude_bound(monkeypatch, d, degr
         g_c = math.sqrt(2) * gamma(2 * max((v.real for v in terms.entries.values()), default=0))
         g_l = gamma(d * (target + 4))
         size = t0(compose_reference(mapped(K1, abs), mapped(K2, abs)), 1.0, out_degree=target).entries
-        take_route(monkeypatch, symbolcalc.COMPOSE_BLOCK)
+        take_route(monkeypatch, series.BLOCK)
         blocked = twisted_product(a1, a2, out_degree)
         take_route(monkeypatch, "dense")
         out = twisted_product(a1, a2, out_degree)
@@ -619,7 +619,7 @@ def random_series_over(rng, d, degree, keep=1.0):
     })
 
 
-@pytest.mark.parametrize("block", [16, symbolcalc.COMPOSE_BLOCK, "dense"])
+@pytest.mark.parametrize("block", [16, series.BLOCK, "dense"])
 def test_apply_matches_loop_reference(monkeypatch, block):
     take_route(monkeypatch, block)
     rng = np.random.default_rng(47)

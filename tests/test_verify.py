@@ -6,10 +6,12 @@ import pytest
 
 from fockcalc import binomial, series, symbolcalc, verify
 from fockcalc.binomial import l2_r_norm, t0
-from fockcalc.multiindex import enumerate_degree, index_add, log_multi_factorial, total_degree
+from fockcalc.multiindex import enumerate_degree, log_multi_factorial, total_degree
 from fockcalc.series import KernelCoeffs, SeriesCoeffs, kernel_delta
 from fockcalc.symbolcalc import t0_bound_constant
 from fockcalc.verify import SUITES, _Checks, run_suite
+
+from _support import index_add
 
 REPORT_KEYS = {"suite", "seed", "cases", "max_error", "tolerance", "pass", "failures", "generated_at"}
 
@@ -229,7 +231,7 @@ def test_oracle_and_comparators_run_without_the_engines(monkeypatch):
         raise AssertionError("engine called")
 
     for module, name in ((binomial, "_sweep"), (series, "_pack"), (series, "_runs"),
-                         (series, "_first_seen"), (symbolcalc, "compose_kernels")):
+                         (series, "_first_seen"), (series, "_blocks"), (symbolcalc, "compose_kernels")):
         monkeypatch.setattr(module, name, forbidden)
     oracle = verify._convolution_oracle(c, 0.5 + 0.3j, 8)
     assert dict_sup_diff(oracle, ref) <= 1e-14 * dict_sup(ref)
