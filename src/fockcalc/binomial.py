@@ -8,14 +8,23 @@ is a finite sum evaluated in full.
 
 ``t0(t) = exp(t R)`` with R the nilpotent diagonal raise, and the factors
 ``exp(t R_j)`` of the individual axes commute, so both operators are one
-numpy pass per axis over arrays of entries.  A pass repeats each entry once
-per step g of its range, weights the copy by sqrt(C(hi_a, g) C(hi_b, g)) t^g
-with the binomials read from a cached float table of exact integers, moves
-it by g on that axis and sums the copies that land on one key.  Keys are
-packed into int64 words (more than one word when the index range needs
-it).  Real and imaginary parts are multiplied and summed separately, each
-key's copies in the order of a loop over entries and steps: a
-one-dimensional transition adds its terms in the order that loop would.
+numpy pass per axis.  A pass repeats each entry once per step g of its
+range, weights the copy by sqrt(C(hi_a, g) C(hi_b, g)) t^g with the
+binomials read from a cached float table of exact integers, moves it by g
+on that axis and sums the copies that land on one key.  Real and imaginary
+parts are multiplied and summed separately, each key's copies in the order
+of a loop over entries and steps: a one-dimensional transition adds its
+terms in the order that loop would.
+
+Two routes form these same terms.  The blocked route works on arrays of
+entries, keys packed into int64 words (more than one word when the index
+range needs it).  The dense route, for supports that fill the degree-N box,
+holds the kernel as an n x n pair of real and imaginary arrays over
+``enumerate_degree(d, N)`` and runs each step as one gather over a cached
+plan.  It adds each key's terms in the blocked route's order on inputs in
+canonical order, where the two routes agree bit for bit, and returns the
+entries in the blocked route's key order, which does not depend on the
+entry order (nor on the BLAS thread count: the route uses no BLAS).
 A value past float range raises OverflowError in ``KernelCoeffs._from_arrays``.
 """
 
@@ -23,14 +32,20 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import OrderedDict
 from typing import List
 
 import numpy as np
 
+from . import series
 from .errors import PreconditionError
+from .multiindex import enumerate_degree
 from .series import KernelCoeffs, _blocks, _pack, _runs
 
 DEFAULT_EXTENSION = 8
+# t0 refuses an input that may form more terms (entry, step) than this; the dense
+# (2,16) box raised to out-degree 24 forms at most 1,925,097
+MAX_RAISE_TERMS = 1 << 22
 
 _I_POWERS = np.array((1.0, 1j, -1.0, -1j))
 
@@ -69,9 +84,106 @@ def _binomials(rows: int, cols: int) -> np.ndarray:
     return table
 
 
+def _check_budget(deg: np.ndarray, out_degree: int, d: int) -> None:
+    """PreconditionError where raising entries of degree max(|a|, |b|) = ``deg`` to
+    ``out_degree`` may form more than MAX_RAISE_TERMS terms: an entry of degree m has
+    C(out_degree - m + d, d) steps g.  The count is exact in Python ints, per distinct
+    degree, where the crude bound len(deg) C(out_degree - min(deg) + d, d) passes."""
+    room = out_degree - int(deg.min())
+    if room < 0 or len(deg) * math.comb(room + d, d) <= MAX_RAISE_TERMS:
+        return
+    degrees, counts = np.unique(deg, return_counts=True)
+    terms = sum(k * math.comb(out_degree - m + d, d)
+                for m, k in zip(degrees.tolist(), counts.tolist()) if m <= out_degree)
+    if terms > MAX_RAISE_TERMS:
+        raise PreconditionError(
+            f"t0 to out-degree {out_degree} may form {terms} terms, more than the budget of {MAX_RAISE_TERMS}")
+
+
 def _round_up(n: int) -> int:
     """Table sizes in steps of 16, so that nearby sizes share one cached table."""
     return -(-n // 16) * 16
+
+
+def _cell_steps(d: int, N: int, top: int) -> int:
+    """Cell steps of one axis of the dense route over the degree-N basis, steps g <= top:
+    sum_g C(N-g+d, d)^2, the pairs (a, b) with |a|, |b| <= N - g."""
+    return sum(math.comb(N - g + d, d) ** 2 for g in range(top + 1))
+
+
+def _fits_dense(d: int, N: int) -> bool:
+    """Whether the dense route may run over the degree-N basis: at d >= 2 (at d = 1 it
+    was no faster inside the benchmark, and its plans cost RSS), its four n x n float
+    arrays and its plan each taking at most ``series.TILE_BYTES``."""
+    n = math.comb(N + d, d)
+    return d > 1 and 32 * n * n <= series.TILE_BYTES and _plan_bytes(d, N) <= series.TILE_BYTES
+
+
+def _plan_bytes(d: int, N: int) -> int:
+    """Bytes of a dense-route plan over the degree-N basis (``_Plan``): a weight per cell
+    step g >= 1 of each axis, a source row per target row, each cell's output place, the
+    rows' keys and a table of (N+1)^d places; never less than the plan's ``nbytes``."""
+    n = math.comb(N + d, d)
+    return 8 * (d * (_cell_steps(d, N, N) - n * n + N * n) + n * n + n * d + (N + 1) ** d)
+
+
+class _Plan:
+    """The dense route of ``_sweep`` over the n multi-indices of degree <= N, one
+    direction.  A kernel is an n x n pair of real and imaginary arrays.  Per axis j
+    the rows are ordered so that the targets of each step g are the first
+    m_g = C(N-g+d, d) rows: graded (``enumerate_degree``) order when lowering, whose
+    first m_g rows have |a| <= N - g, and a_j descending when raising.  Step g of
+    axis j then adds its weighted copies to the leading m_g x m_g block of the
+    output, gathered from the previous order's rows ``src`` (the targets moved by
+    -g or +g on axis j) with the weights sqrt(C(k+g, g) C(l+g, g)) of ``_binomials``,
+    (k, l) the lower end of the step.  ``order`` lists the cells of the last order
+    in the blocked route's output order, and ``keys`` the rows of the last order.
+    """
+
+    def __init__(self, d: int, N: int, raising: bool):
+        basis = np.array(enumerate_degree(d, N), dtype=np.int64)
+        n = len(basis)
+        self.mult = (N + 1) ** np.arange(d - 1, -1, -1)
+        code = basis @ self.mult
+        self.where = np.zeros((N + 1) ** d, dtype=np.intp)  # a key's row in graded order
+        self.where[code] = np.arange(n)
+        table = _binomials(_round_up(N + 1), _round_up(N + 1))
+        rows = np.arange(n)  # the basis row at each place of the current order
+        self.steps = []
+        for j in range(d):
+            new = np.argsort(-basis[:, j], kind="stable") if raising else rows
+            place = np.empty(n, dtype=np.intp)
+            place[rows] = np.arange(n)
+            per = [(n, None if new is rows else place[new], 1.0)]  # g = 0: weight 1
+            for g in range(1, N + 1):
+                tgt = new[:math.comb(N - g + d, d)]
+                src = place[self.where[code[tgt] + (-g if raising else g) * self.mult[j]]]
+                u = table[basis[tgt, j] - g if raising else basis[tgt, j], g]
+                w = u[:, None] * u
+                per.append((len(tgt), src, np.sqrt(w, out=w)))
+            self.steps.append(per)
+            rows = new
+        self.keys = basis[rows]  # the rows of the last order
+        a, b = self.keys.repeat(n, axis=0), np.tile(self.keys, (n, 1))
+        low = np.minimum(a[:, -1], b[:, -1])
+        # the blocked route's last pass returns its entries by line, then by low
+        self.order = np.lexsort([low, b[:, -1] - low, *b[:, -2::-1].T, a[:, -1] - low, *a[:, -2::-1].T])
+        self.n = n
+        self.nbytes = sum(x.nbytes for x in (self.where, self.order, self.keys))
+        self.nbytes += sum(w.nbytes + src.nbytes for per in self.steps for _, src, w in per[1:])
+
+
+_plans: OrderedDict = OrderedDict()  # (d, N, raising) -> _Plan, least recently used first
+
+
+def _plan(d: int, N: int, raising: bool) -> _Plan:
+    """The cached plan; the cache holds at most ``series.TILE_BYTES`` of plans."""
+    key = (d, N, raising)
+    plan = _plans.pop(key, None) or _Plan(d, N, raising)
+    _plans[key] = plan
+    while sum(p.nbytes for p in _plans.values()) > series.TILE_BYTES:
+        _plans.popitem(last=False)
+    return plan
 
 
 @np.errstate(over="ignore", invalid="ignore")  # values past float range are caught on output
@@ -83,7 +195,80 @@ def _sweep(c: KernelCoeffs, t: complex, out_degree: int | None) -> KernelCoeffs:
     sqrt(C(hi_a, g) C(hi_b, g)) t^g, hi being the larger of the two indices
     on that axis; the product of the two binomials passes through one square
     root.  Degrees only rise when raising, so dropping intermediate entries
-    above out_degree loses nothing that a retained entry needs.
+    above out_degree loses nothing that a retained entry needs.  Raising first
+    checks that the input forms at most MAX_RAISE_TERMS terms.
+
+    Two routes form these terms.  The dense one (``_dense``) runs over every
+    cell of the degree-N basis, N the out-degree when raising and the support
+    degree when lowering; it is taken where ``_fits_dense`` allows it and one
+    axis's cell steps, ``_cell_steps``, are no more than the blocked route's
+    copies on its first axis, as on a full box.
+    The blocked route (``_blocked``) serves every other input.
+    """
+    d = c.d
+    if not len(c):
+        return KernelCoeffs(d, d)
+    raising = out_degree is not None
+    keys, values = c.arrays()
+    deg = np.maximum(keys[:, :d].sum(axis=1), keys[:, d:].sum(axis=1))  # max(|a|, |b|)
+    if raising:
+        _check_budget(deg, out_degree, d)
+    k_max = int(keys.max())
+    # no entry steps further: g <= out_degree - max(|a|, |b|) or g <= min(a_j, b_j)
+    reach = max(out_degree - int(deg.min()) if raising else k_max, 0)
+    tp = _powers(t, reach)
+    top = len(tp) - 1
+    N = out_degree if raising else c.support_degree()
+    if _fits_dense(d, N):
+        first = np.minimum(out_degree - deg if raising else np.minimum(keys[:, 0], keys[:, d]), top) + 1
+        if _cell_steps(d, N, top) <= int(np.maximum(first, 0).sum()):
+            out = _dense(keys, values, deg, tp, _plan(d, N, raising), N, raising)
+            if out is not None:
+                return out
+    return _blocked(keys, values, deg, tp, k_max, out_degree)
+
+
+def _dense(keys, values, deg, tp, plan: _Plan, N: int, raising: bool) -> KernelCoeffs | None:
+    """The dense route of ``_sweep``: the blocked route's output, byte for byte on inputs in
+    canonical order, in the same key order; None where a value leaves float range.
+
+    Each cell's terms are formed part by part as on the blocked route and added in
+    its order, which on canonical input is that of the lower end of the step: g
+    descending when raising, ascending when lowering.  The route runs through
+    every cell, also those the blocked route never forms; the terms of an empty
+    cell add nothing, and a value past float range (which could be 0 * inf in
+    such a cell) hands the input to the blocked route, which then forms only its
+    own terms.
+    """
+    d, n = keys.shape[1] // 2, plan.n
+    inside = deg <= N
+    cell = plan.where[keys[inside, :d] @ plan.mult] * n + plan.where[keys[inside, d:] @ plan.mult]
+    re, im = np.zeros(n * n), np.zeros(n * n)
+    re[cell], im[cell] = values.real[inside], values.imag[inside]
+    steps = range(len(tp) - 1, -1, -1) if raising else range(len(tp))
+    for per in plan.steps:
+        re, im = re.reshape(n, n), im.reshape(n, n)
+        out_re, out_im = np.zeros((n, n)), np.zeros((n, n))
+        for g in steps:
+            m, src, w = per[g]
+            xr, xi = w * tp[g].real, w * tp[g].imag
+            vr, vi = (re, im) if src is None else (re[src][:, src], im[src][:, src])
+            # (xr + i xi)(vr + i vi) part by part, added in step order
+            out_re[:m, :m] += xr * vr - xi * vi
+            out_im[:m, :m] += xr * vi + xi * vr
+        re, im = out_re.ravel(), out_im.ravel()
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        return None
+    re, im = re[plan.order], im[plan.order]
+    keep = (re != 0) | (im != 0)
+    values = np.empty(int(keep.sum()), dtype=complex)
+    values.real, values.imag = re[keep], im[keep]
+    row, col = np.divmod(plan.order[keep], n)
+    return KernelCoeffs._from_arrays(d, d, np.concatenate((plan.keys[row], plan.keys[col]), axis=1), values)
+
+
+def _blocked(keys, values, deg, tp, k_max: int, out_degree: int | None) -> KernelCoeffs:
+    """The blocked route of ``_sweep``: one numpy pass per axis over arrays of entries.
 
     Copies meet only if their entries lie on one line of the axis: equal
     indices off axis j and equal a_j - b_j.  A pass sorts the entries by line,
@@ -91,24 +276,17 @@ def _sweep(c: KernelCoeffs, t: complex, out_degree: int | None) -> KernelCoeffs:
     taking ``radix`` slots (line, min(a_j, b_j)) of a block's sums, so the
     block size moves no bit.
     """
-    d = c.d
-    if not len(c):
-        return KernelCoeffs(d, d)
+    d = keys.shape[1] // 2
     raising = out_degree is not None
-    tp = _powers(t, out_degree if raising else c.support_degree())
     g_max = len(tp) - 1
-    keys, values = c.arrays()
     re, im = values.real, values.imag
-    k_max = int(keys.max())
     # components never pass out_degree when raising and never rise when lowering
     top = max(k_max, min(out_degree, k_max + g_max)) if raising else k_max
     radix = top + 1
     words, place = _pack(keys, radix)
-    deg = np.maximum(keys[:, :d].sum(axis=1), keys[:, d:].sum(axis=1))  # max(|a|, |b|)
-    reach = out_degree - int(deg.min()) if raising else k_max
     # C(k+g, g) with k the lower end of the step: the input index when raising,
     # the output index when lowering; either way k <= k_max
-    table = _binomials(_round_up(k_max + 1), _round_up(min(g_max, max(reach, 0)) + 1))
+    table = _binomials(_round_up(k_max + 1), _round_up(g_max + 1))
     tp_re = np.array([p.real for p in tp])
     tp_im = np.array([p.imag for p in tp])
     step = 1 if raising else -1

@@ -197,7 +197,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         # e.g. a binomial weight beyond float range at a very high out-degree
         return _emit_error(EXIT_PRECONDITION, "arithmetic", str(exc))
     except MemoryError as exc:  # e.g. t0_star's binomial table at alpha = beta = 10^11 (11.6 TiB)
-        return _emit_error(EXIT_PRECONDITION, "memory", str(exc) or "out of memory")
+        message = str(exc) or "out of memory"
+    # reported once the except block has released the failed call's frames and what they hold
+    return _emit_error(EXIT_PRECONDITION, "memory", message)
 
 
 if __name__ == "__main__":

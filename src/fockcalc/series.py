@@ -33,6 +33,7 @@ LADDER_DIFFERENTIATE = "differentiate"
 
 _INT64_SPAN = 2 ** 63
 BLOCK = 1 << 13  # float terms formed at once by a blocked array pass: 64 KB per temporary
+TILE_BYTES = 1 << 24  # bytes of the dense routes' tiles: compose_kernels' products, t0/t0_star's plans
 
 
 def _pack(cols: np.ndarray, radix: int) -> tuple[List[np.ndarray], List[tuple[int, int]]]:

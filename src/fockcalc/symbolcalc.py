@@ -15,16 +15,16 @@ from typing import List
 
 import numpy as np
 
+from . import series
 from .binomial import l2_r_norm, t0, t0_star
 from .errors import DimensionMismatch, PreconditionError
 from .multiindex import MultiIndex, enumerate_degree
 from .series import KernelCoeffs, SeriesCoeffs, _blocks, _first_seen, _numbered
 
 # compose_kernels takes one matrix product when it has at most this many terms per
-# product of matching entries (half the crossover measured on one BLAS thread) ...
+# product of matching entries (half the crossover measured on one BLAS thread),
+# and its three complex tiles take at most series.TILE_BYTES
 COMPOSE_DENSE_RATIO = 128
-# ... and its three complex tiles take at most this many bytes
-COMPOSE_TILE_BYTES = 1 << 24
 
 
 @dataclass
@@ -94,7 +94,7 @@ def compose_kernels(K2: KernelCoeffs, K1: KernelCoeffs) -> KernelCoeffs:
     is where the n_alpha n_beta n_delta terms of one matrix product are at
     most COMPOSE_DENSE_RATIO times the products of matching entries, the
     sums are that one product: its tiles take 16 (n_alpha n_beta + n_beta
-    n_delta + n_alpha n_delta) bytes, at most COMPOSE_TILE_BYTES or the
+    n_delta + n_alpha n_delta) bytes, at most ``series.TILE_BYTES`` or the
     blocked route runs.  n_alpha counts the distinct alphas that take part;
     n_beta and n_delta count K1's distinct betas and deltas, which bound
     those that take part at no cost to the blocked route.  The three indices are numbered in key order there, so each sum
@@ -125,7 +125,7 @@ def compose_kernels(K2: KernelCoeffs, K1: KernelCoeffs) -> KernelCoeffs:
     # the distinct alphas, and at most as many betas and deltas as K1 has
     na, nb, nd = int(ra.max()) + 1, int(np.count_nonzero(row_len)), int(rd.max()) + 1
     if (na * nb * nd <= COMPOSE_DENSE_RATIO * int(counts.sum())
-            and 16 * (na * nb + nb * nd + na * nd) <= COMPOSE_TILE_BYTES):
+            and 16 * (na * nb + nb * nd + na * nd) <= series.TILE_BYTES):
         # the betas and deltas that take part, rows and columns in key order,
         # so that no sum depends on the entry order
         r1, r2 = rank[:n1], rank[n1:][matched]

@@ -1,17 +1,20 @@
+import cmath
 import itertools
 import math
+import tracemalloc
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fockcalc import series
+from fockcalc import binomial, series
 from fockcalc.binomial import l2_r_norm, s0, s0_inv, t0, t0_star
-from fockcalc.errors import DimensionMismatch
+from fockcalc.errors import DimensionMismatch, PreconditionError
 from fockcalc.multiindex import enumerate_degree, multi_binomial, total_degree
 from fockcalc.series import KernelCoeffs, kernel_delta
-from fockcalc.symbolcalc import compose_kernels, t0_bound_constant
+from fockcalc.symbolcalc import compose_kernels, identity_kernel, kernel_to_wick, t0_bound_constant
 
 from _support import index_add, random_kernel, sup, sup_diff
 
@@ -283,3 +286,157 @@ def test_value_overflow_raises_overflow_error():
     big = KernelCoeffs(1, 1, {((0,), (0,)): 1e200})
     with pytest.raises(OverflowError):
         compose_kernels(big, big)
+
+
+# --- the dense route ----------------------------------------------------------------
+
+def as_bytes(c):
+    index, values = c.arrays()
+    return index.tobytes(), values.tobytes()
+
+
+def dense_calls(monkeypatch):
+    """The inputs that reach the dense route, one per call."""
+    calls = []
+    dense = binomial._dense
+
+    def counted(keys, *args):
+        calls.append(len(keys))
+        return dense(keys, *args)
+
+    monkeypatch.setattr(binomial, "_dense", counted)
+    return calls
+
+
+def blocked(monkeypatch, op, c):
+    """op(c) on the blocked route."""
+    with monkeypatch.context() as m:
+        m.setattr(binomial, "_fits_dense", lambda d, N: False)
+        return op(c)
+
+
+def force_dense(monkeypatch):
+    """Send every later sweep down the dense route, d = 1 and sparse inputs included."""
+    monkeypatch.setattr(binomial, "_fits_dense", lambda d, N: True)
+    monkeypatch.setattr(binomial, "_cell_steps", lambda d, N, top: 0)
+
+
+def sweeps(degree, t):
+    """Raising to the support degree, truncating below it, and lowering."""
+    return (lambda c: t0(c, t, out_degree=degree), lambda c: t0(c, t, out_degree=degree - 1),
+            lambda c: t0_star(c, t))
+
+
+DENSE_T = (1.0, -1.0, cmath.rect(0.8, 0.7))
+
+
+@pytest.mark.parametrize("d, degree", [(1, 10), (2, 6), (2, 3), (3, 3)])
+def test_dense_route_gives_the_blocked_routes_bytes(monkeypatch, d, degree):
+    c = random_kernel(np.random.default_rng(40 + d), d, degree)  # canonical order
+    if d == 1:  # d = 1 takes the dense route only when made to
+        force_dense(monkeypatch)
+    calls = dense_calls(monkeypatch)
+    for t in DENSE_T:
+        for op in sweeps(degree, t):
+            assert as_bytes(op(c)) == as_bytes(blocked(monkeypatch, op, c))
+    assert len(calls) == 3 * len(DENSE_T)
+
+
+def test_dense_route_does_not_depend_on_entry_order(monkeypatch):
+    rng = np.random.default_rng(12)
+    calls = dense_calls(monkeypatch)
+    for d, degree in ((2, 5), (3, 3)):
+        c = random_kernel(rng, d, degree)
+        entries = list(c.entries.items())
+        shuffled = KernelCoeffs(d, d, dict(entries[i] for i in rng.permutation(len(entries))))
+        for t in DENSE_T:
+            for op in sweeps(degree, t):
+                assert as_bytes(op(shuffled)) == as_bytes(op(c))
+    assert len(calls) == 2 * 2 * 3 * len(DENSE_T)
+
+
+def ones(d, degree):
+    return KernelCoeffs(d, d, {(a, b): 1.0 for a in enumerate_degree(d, degree) for b in enumerate_degree(d, degree)})
+
+
+@pytest.mark.parametrize("K, size", [(identity_kernel(1, 10), 1), (identity_kernel(2, 6), 1),
+                                     (identity_kernel(3, 3), 1), (ones(1, 6), 43), (ones(2, 4), 171)])
+def test_dense_route_cancels_exactly(monkeypatch, K, size):
+    # the identities and d = 1 take the dense route only when made to
+    want = blocked(monkeypatch, kernel_to_wick, K)
+    force_dense(monkeypatch)
+    calls = dense_calls(monkeypatch)
+    got = kernel_to_wick(K)
+    assert calls == [len(K)]
+    assert as_bytes(got) == as_bytes(want)
+    assert len(got) == size
+    if size == 1:
+        assert got.entries == {((0,) * K.d, (0,) * K.d): 1.0}
+
+
+def test_sparse_inputs_and_d_1_stay_on_the_blocked_route(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("dense route planned")
+
+    monkeypatch.setattr(binomial, "_plan", forbidden)
+    rng = np.random.default_rng(8)
+    cases = []
+    for d, top in ((2, 64), (3, 24)):  # the benchmark's sparse CLI transforms
+        c = random_sparse_kernel(rng, d, 12, 4)
+        cases += [(c, lambda c, top=top: t0(c, 0.7 - 0.3j, out_degree=top)), (c, lambda c: t0_star(c, 0.7 - 0.3j))]
+    for d, degree in ((2, 8), (3, 5)):
+        c = random_sparse_kernel(rng, d, degree, 40)
+        cases += [(c, lambda c, n=degree: t0(c, 0.7 - 0.3j, out_degree=n)), (c, lambda c: t0_star(c, 0.7 - 0.3j))]
+    c = random_kernel(rng, 1, 64)  # a full box, but at d = 1
+    cases += [(c, lambda c: t0(c, 0.7 - 0.3j, out_degree=64)), (c, lambda c: t0_star(c, 0.7 - 0.3j))]
+    for c, op in cases:
+        op(c)  # binomial tables are cached from here on
+        tracemalloc.start()
+        try:
+            op(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 << 20
+    # the benchmark's overflow probe: one entry, d = 1, raised to 1200
+    probe = kernel_delta(1, (600,), (0,))
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            with pytest.raises(OverflowError):
+                t0(probe, 1.0, out_degree=1200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 4 << 20
+
+
+def test_dense_plans_are_cached_within_the_tile_budget(monkeypatch):
+    monkeypatch.setattr(binomial, "_plans", OrderedDict())
+    shapes = ((2, 6), (3, 3), (2, 4))
+    budget = 2 * max(binomial._plan_bytes(d, n) for d, n in shapes)  # room for two of the six plans
+    monkeypatch.setattr(series, "TILE_BYTES", budget)
+    calls = dense_calls(monkeypatch)
+    rng = np.random.default_rng(4)
+    for d, n in shapes * 2:
+        c = random_kernel(rng, d, n)
+        for op in (lambda c, n=n: t0(c, 0.5, out_degree=n), lambda c: t0_star(c, 0.5)):
+            assert as_bytes(op(c)) == as_bytes(blocked(monkeypatch, op, c))
+            assert sum(plan.nbytes for plan in binomial._plans.values()) <= budget
+    assert len(calls) == 12
+    assert len(binomial._plans) < 6
+    for (d, n, _), plan in binomial._plans.items():
+        assert plan.nbytes <= binomial._plan_bytes(d, n)
+
+
+def test_t0_term_budget(monkeypatch):
+    with pytest.raises(PreconditionError, match="budget"):
+        t0(kernel_delta(1, (1,), (1,)), 1.0, out_degree=10 ** 20)
+    # sum over entries of C(D - max(|a|, |b|) + d, d): 1,925,097 for the dense (2,16) box at D = 24
+    deg = np.array([max(sum(a), sum(b)) for a in enumerate_degree(2, 16) for b in enumerate_degree(2, 16)])
+    binomial._check_budget(deg, 24, 2)
+    monkeypatch.setattr(binomial, "MAX_RAISE_TERMS", 1925097)
+    binomial._check_budget(deg, 24, 2)
+    monkeypatch.setattr(binomial, "MAX_RAISE_TERMS", 1925096)
+    with pytest.raises(PreconditionError, match="1925097 terms"):
+        binomial._check_budget(deg, 24, 2)

@@ -447,6 +447,20 @@ def test_overflow_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_t0_past_its_term_budget_exits_4_at_once(files):
+    # out-degree 10^20 from one entry: t0 refuses before it forms a power of t
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = files["tmp"] / "x.json"
+    done = subprocess.run([sys.executable, "-m", "fockcalc.cli", "transform", "--input", str(files["d11"]),
+                           "--output", str(out), "--op", "t0", "--t", "1", "--out-degree", str(10 ** 20)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 4 and done.stdout == ""
+    err = json.loads(done.stderr)["error"]
+    assert err["kind"] == "precondition" and "budget" in err["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("error", [MemoryError("Unable to allocate 11.6 TiB for an array"), MemoryError()])
 def test_memory_error_is_one_json_error(files, monkeypatch, capsys, error):
     # a t0_star of alpha = beta = 10^11 asks for such a binomial table; not run here,
@@ -456,9 +470,19 @@ def test_memory_error_is_one_json_error(files, monkeypatch, capsys, error):
     def exhausted(c, t):
         raise error
 
+    # the report is written once the failed call's frames, and the memory they hold, are released
+    handling = []
+
+    def emit_error(*args):
+        handling.append(sys.exc_info())
+        return emit(*args)
+
+    emit = cli._emit_error
+    monkeypatch.setattr(cli, "_emit_error", emit_error)
     monkeypatch.setattr(cli, "t0_star", exhausted)
     out = files["tmp"] / "x.json"
     assert run("transform", "--input", files["d11"], "--output", out, "--op", "t0star", "--t", "0") == 4
+    assert handling == [(None, None, None)]
     captured = capsys.readouterr()
     assert captured.out == ""
     err = json.loads(captured.err)["error"]

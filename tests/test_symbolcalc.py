@@ -194,7 +194,7 @@ def take_route(monkeypatch, block):
     block "dense", down the matrix product whatever its size."""
     dense = block == "dense"
     monkeypatch.setattr(symbolcalc, "COMPOSE_DENSE_RATIO", math.inf if dense else 0)
-    monkeypatch.setattr(symbolcalc, "COMPOSE_TILE_BYTES", math.inf)
+    monkeypatch.setattr(series, "TILE_BYTES", math.inf)
     if not dense:
         monkeypatch.setattr(series, "BLOCK", block)
 
@@ -283,12 +283,12 @@ def test_compose_route_follows_the_index_structure(monkeypatch):
     out = compose_kernels(*dense)
     assert calls == [1]
     # with no byte budget the ratio alone keeps the sparse inputs on the blocked route
-    monkeypatch.setattr(symbolcalc, "COMPOSE_TILE_BYTES", math.inf)
+    monkeypatch.setattr(series, "TILE_BYTES", math.inf)
     compose_kernels(*sparse)
     compose_kernels(diagonal, diagonal)
     assert calls == [1]
     # dense tiles over the byte budget take the blocked route too
-    monkeypatch.setattr(symbolcalc, "COMPOSE_TILE_BYTES", 1024)
+    monkeypatch.setattr(series, "TILE_BYTES", 1024)
     blocked = compose_kernels(*dense)
     assert calls == [1]
     assert np.array_equal(blocked.arrays()[0], out.arrays()[0])
